@@ -63,14 +63,15 @@ fn bench_flow_table(filter: &Option<String>) {
                     FlowEntry::apply(
                         Match::src_dst(key(i).src, key(i).dst),
                         100,
-                        vec![Action::Output(PortId(1))],
+                        &[Action::Output(PortId(1))],
                     ),
                 )
                 .unwrap();
         }
         let pkt = Packet::flow_start(key(n_rules as u32 / 2), FlowId(1), SimTime::ZERO);
+        let mut actions = Vec::new();
         bench(filter, &format!("flow_table_lookup/{n_rules}"), || {
-            pipeline.process(SimTime::ZERO, black_box(&pkt), PortId(0))
+            pipeline.process_into(SimTime::ZERO, black_box(&pkt), PortId(0), &mut actions)
         });
     }
 }
@@ -135,12 +136,8 @@ fn bench_rng(filter: &Option<String>) {
 
 fn bench_wire_codec(filter: &Option<String>) {
     use scotch_openflow::wire::{decode_message, encode_message, OfMessage};
-    use scotch_openflow::{ControllerToSwitch, FlowEntry, FlowModCommand, Instruction};
-    let entry = FlowEntry::new(
-        Match::exact(key(7)),
-        100,
-        vec![Instruction::Apply(vec![Action::Output(PortId(3))])],
-    );
+    use scotch_openflow::{ControllerToSwitch, FlowEntry, FlowModCommand};
+    let entry = FlowEntry::apply(Match::exact(key(7)), 100, &[Action::Output(PortId(3))]);
     let msg = OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
         table: TableId(0),
         command: FlowModCommand::Add(entry),

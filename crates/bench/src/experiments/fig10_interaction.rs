@@ -21,7 +21,9 @@ fn loss_ratio(insert_rate: f64, data_pps: f64, secs: f64, seed: u64) -> f64 {
         SwitchProfile::pica8_pronto_3780(),
         SimRng::new(seed ^ (insert_rate as u64) << 16 ^ data_pps as u64),
     );
-    // Pre-installed forwarding rule (quiet period, then measurement).
+    // Pre-installed forwarding rule (quiet period, then measurement). The
+    // switch's replies (overload/table-full errors) are not measured here.
+    let mut replies = Vec::new();
     sw.handle_controller_msg(
         SimTime::ZERO,
         ControllerToSwitch::FlowMod {
@@ -29,9 +31,10 @@ fn loss_ratio(insert_rate: f64, data_pps: f64, secs: f64, seed: u64) -> f64 {
             command: FlowModCommand::Add(FlowEntry::apply(
                 Match::ANY,
                 1,
-                vec![Action::Output(PortId(1))],
+                &[Action::Output(PortId(1))],
             )),
         },
+        &mut replies,
     );
     let key = FlowKey::tcp(IpAddr::new(10, 0, 0, 1), 1024, IpAddr::new(10, 0, 1, 1), 80);
 
@@ -60,10 +63,12 @@ fn loss_ratio(insert_rate: f64, data_pps: f64, secs: f64, seed: u64) -> f64 {
                     command: FlowModCommand::Add(FlowEntry::apply(
                         Match::src_dst(IpAddr(0x0b00_0000 + rule_i), IpAddr::new(9, 9, 9, 9)),
                         2,
-                        vec![],
+                        &[],
                     )),
                 },
+                &mut replies,
             );
+            replies.clear();
             rule_i = rule_i.wrapping_add(1) % 1_000_000;
             t_insert += insert_gap;
         } else {

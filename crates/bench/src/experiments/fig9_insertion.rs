@@ -41,6 +41,9 @@ pub fn run(scale: Scale, seed: u64) -> Table {
         );
         let n = (rate * secs) as u64;
         let gap_ns = (1e9 / rate) as u64;
+        // Failed inserts come back as error replies; the OFA counters
+        // below already tally them.
+        let mut replies = Vec::new();
         for k in 0..n {
             let now = SimTime::from_nanos(k * gap_ns);
             // All rules distinct, 10 s timeout, as in §6.1.
@@ -58,12 +61,14 @@ pub fn run(scale: Scale, seed: u64) -> Table {
                         FlowEntry::apply(
                             Match::src_dst(key.src, key.dst),
                             1,
-                            vec![Action::Output(PortId(1))],
+                            &[Action::Output(PortId(1))],
                         )
                         .with_idle_timeout(scotch_sim::SimDuration::from_secs(10)),
                     ),
                 },
+                &mut replies,
             );
+            replies.clear();
             // Periodic expiry keeps the table from filling, mirroring the
             // paper's 10 s rule timeout during the measurement.
             if k % 1000 == 999 {

@@ -207,7 +207,7 @@ pub fn plan_flow_rules(
         let entry = FlowEntry::apply(
             m,
             PHYSICAL_RULE_PRIORITY + occurrence,
-            vec![Action::Output(out_port)],
+            &[Action::Output(out_port)],
         )
         .with_cookie(cookie)
         .with_idle_timeout(idle_timeout);

@@ -26,5 +26,5 @@ pub mod wire;
 
 pub use group::{Bucket, GroupEntry, GroupId, GroupTable, GroupType, SelectionPolicy};
 pub use messages::{ControllerToSwitch, FlowModCommand, PacketInReason, SwitchToController};
-pub use ofmatch::{Action, Instruction, Match};
-pub use table::{FlowEntry, FlowTable, Pipeline, PipelineVerdict, TableId};
+pub use ofmatch::{Action, ActionList, Match};
+pub use table::{FlowEntry, FlowTable, Pipeline, TableId};

@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn flow_mod_commands_construct() {
-        let e = FlowEntry::apply(Match::ANY, 1, vec![Action::Drop]);
+        let e = FlowEntry::apply(Match::ANY, 1, &[Action::Drop]);
         let add = FlowModCommand::Add(e.clone());
         assert_eq!(add, FlowModCommand::Add(e));
         assert_ne!(

@@ -1,4 +1,4 @@
-//! Match fields, actions, and instructions.
+//! Match fields, actions, and rule action lists.
 //!
 //! Every field of a [`Match`] is optional — `None` wildcards it. The
 //! paper's experiments install rules keyed on (source IP, destination IP);
@@ -163,13 +163,85 @@ impl Action {
     }
 }
 
-/// An OpenFlow instruction: apply actions and/or continue in a later table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Instruction {
-    /// Apply the action list immediately.
-    Apply(Vec<Action>),
-    /// Continue matching in the given table.
-    GotoTable(super::table::TableId),
+/// A rule's apply-actions list, inline and fixed-capacity.
+///
+/// Scotch's longest rule action list is two actions (push a tunnel label,
+/// output), so four slots stored by value cover every rule with room to
+/// spare: installing a rule never heap-allocates its actions and a
+/// [`crate::FlowEntry`] stays a flat value. Like the packet label stack,
+/// pushing past the capacity panics — it is a planning bug, not a resource
+/// limit. The wire decoder checks a decoded list's length against
+/// [`ActionList::CAPACITY`] first and reports an error instead.
+#[derive(Clone, Copy)]
+pub struct ActionList {
+    len: u8,
+    slots: [Action; ActionList::CAPACITY],
+}
+
+impl ActionList {
+    /// Maximum number of actions one list holds.
+    pub const CAPACITY: usize = 4;
+
+    /// An empty list.
+    pub const fn new() -> Self {
+        ActionList {
+            len: 0,
+            slots: [Action::Drop; ActionList::CAPACITY],
+        }
+    }
+
+    /// A list holding `actions`. Panics beyond [`ActionList::CAPACITY`].
+    pub fn from_slice(actions: &[Action]) -> Self {
+        let mut list = ActionList::new();
+        for a in actions {
+            list.push(*a);
+        }
+        list
+    }
+
+    /// Append an action. Panics beyond [`ActionList::CAPACITY`].
+    fn push(&mut self, action: Action) {
+        assert!(
+            (self.len as usize) < ActionList::CAPACITY,
+            "action list overflow: a rule holds at most {} actions",
+            ActionList::CAPACITY
+        );
+        self.slots[self.len as usize] = action;
+        self.len += 1;
+    }
+
+    /// The actions in order.
+    pub fn as_slice(&self) -> &[Action] {
+        &self.slots[..self.len as usize]
+    }
+}
+
+impl Default for ActionList {
+    fn default() -> Self {
+        ActionList::new()
+    }
+}
+
+impl core::ops::Deref for ActionList {
+    type Target = [Action];
+
+    fn deref(&self) -> &[Action] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for ActionList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ActionList {}
+
+impl core::fmt::Debug for ActionList {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
 }
 
 #[cfg(test)]
@@ -254,6 +326,35 @@ mod tests {
         assert_eq!(m.specificity(), 4);
         assert!(m.matches(&pkt(), PortId(1)));
         assert!(!m.matches(&pkt(), PortId(0)));
+    }
+
+    #[test]
+    fn action_list_holds_four_inline() {
+        let mut l = ActionList::new();
+        assert!(l.is_empty());
+        for p in 0..4 {
+            l.push(Action::Output(PortId(p)));
+        }
+        assert_eq!(l.len(), 4);
+        assert_eq!(l[3], Action::Output(PortId(3)));
+        assert_eq!(
+            ActionList::from_slice(&[Action::PopLabel, Action::Drop]),
+            ActionList::from_slice(&[Action::PopLabel, Action::Drop])
+        );
+        assert_ne!(
+            ActionList::from_slice(&[Action::Drop]),
+            ActionList::from_slice(&[])
+        );
+        assert_eq!(
+            format!("{:?}", ActionList::from_slice(&[Action::Drop])),
+            "[Drop]"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "action list overflow")]
+    fn action_list_panics_on_a_fifth_action() {
+        ActionList::from_slice(&[Action::Drop; 5]);
     }
 
     #[test]

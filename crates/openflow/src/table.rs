@@ -6,13 +6,14 @@
 //! installed at the flow table if it becomes full").
 //!
 //! A [`Pipeline`] chains tables OpenFlow-1.3 style: matching starts in
-//! table 0 and `GotoTable` instructions continue it. Scotch's physical
+//! table 0 and a matched entry's goto-table continues it. Scotch's physical
 //! switch uses two tables (§5.2): table 0 pushes the inner ingress-port
 //! label, table 1 holds the per-flow rules and the overlay default rule.
 
-use crate::ofmatch::{Action, Instruction, Match};
+use crate::ofmatch::{Action, ActionList, Match};
 use scotch_net::{Packet, PortId};
 use scotch_sim::{SimDuration, SimTime};
+use std::collections::hash_map::Entry;
 
 /// Index of a flow table within a switch's pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,8 +26,13 @@ pub struct FlowEntry {
     pub matcher: Match,
     /// Higher wins; ties break toward the earlier-installed entry.
     pub priority: u16,
-    /// What to do on match.
-    pub instructions: Vec<Instruction>,
+    /// Actions applied on match (the entry's APPLY_ACTIONS instruction;
+    /// empty = none). Inline, so installing a rule allocates nothing.
+    pub apply: ActionList,
+    /// Table to continue matching in (the entry's GOTO_TABLE instruction).
+    /// OpenFlow 1.3 allows at most one instruction of each type per entry,
+    /// so these two fields are the whole instruction set.
+    pub goto: Option<TableId>,
     /// Controller-chosen opaque id (used for deletion and stats
     /// correlation).
     pub cookie: u64,
@@ -52,12 +58,14 @@ pub struct FlowEntry {
 }
 
 impl FlowEntry {
-    /// A rule with the given match, priority and instructions; no timeouts.
-    pub fn new(matcher: Match, priority: u16, instructions: Vec<Instruction>) -> Self {
+    /// A rule applying `actions` on match; no goto, no timeouts. Panics
+    /// beyond [`ActionList::CAPACITY`] actions.
+    pub fn apply(matcher: Match, priority: u16, actions: &[Action]) -> Self {
         FlowEntry {
             matcher,
             priority,
-            instructions,
+            apply: ActionList::from_slice(actions),
+            goto: None,
             cookie: 0,
             idle_timeout: None,
             hard_timeout: None,
@@ -70,9 +78,10 @@ impl FlowEntry {
         }
     }
 
-    /// Shorthand: match → apply a single action list.
-    pub fn apply(matcher: Match, priority: u16, actions: Vec<Action>) -> Self {
-        FlowEntry::new(matcher, priority, vec![Instruction::Apply(actions)])
+    /// Builder: continue matching in `table` after applying the actions.
+    pub fn with_goto(mut self, table: TableId) -> Self {
+        self.goto = Some(table);
+        self
     }
 
     /// Builder: set the cookie.
@@ -93,16 +102,13 @@ impl FlowEntry {
         self
     }
 
-    /// The first `Output` action among the entry's `Apply` instructions,
-    /// if any (handy for inspecting where a rule forwards).
+    /// The entry's first `Output` action, if any (handy for inspecting
+    /// where a rule forwards).
     pub fn first_output(&self) -> Option<Action> {
-        self.instructions.iter().find_map(|i| match i {
-            Instruction::Apply(acts) => acts
-                .iter()
-                .find(|a| matches!(a, Action::Output(_)))
-                .copied(),
-            Instruction::GotoTable(_) => None,
-        })
+        self.apply
+            .iter()
+            .find(|a| matches!(a, Action::Output(_)))
+            .copied()
     }
 
     /// Earliest time this entry *could* expire given its current state
@@ -147,7 +153,9 @@ pub enum InsertError {
 /// overwhelming majority — both the paper's src/dst rules and microflow
 /// rules specify both addresses) are found in O(1); only the handful of
 /// "generic" rules (port-labelling defaults, label rules, wildcards) are
-/// scanned. Semantics are identical to a full priority scan.
+/// scanned. Semantics are identical to a full priority scan. An index
+/// bucket holds its first slot inline ([`Bucket`]), so the common one rule
+/// per key costs no allocation beyond the hash-map entry itself.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
     /// Slab of entries; `None` marks a free slot.
@@ -161,7 +169,7 @@ pub struct FlowTable {
     /// Free slot indices for reuse.
     free: Vec<usize>,
     /// Slots of entries whose matcher specifies both `src` and `dst`.
-    by_src_dst: scotch_sim::FxHashMap<(scotch_net::IpAddr, scotch_net::IpAddr), Vec<usize>>,
+    by_src_dst: scotch_sim::FxHashMap<(scotch_net::IpAddr, scotch_net::IpAddr), Bucket>,
     /// Slots of all other (wildcard-ish) entries.
     generic: Vec<usize>,
     len: usize,
@@ -173,6 +181,54 @@ pub struct FlowTable {
     /// deadlines later, so the bound stays valid without per-hit updates;
     /// `expire` before the bound is a constant-time no-op.
     next_deadline: Option<SimTime>,
+}
+
+/// The slots indexed under one `(src, dst)` key: one slot inline, spilling
+/// to a `Vec` only when a second rule shares the key (hairpin rules, pins,
+/// microflow rules between one host pair). A spilled bucket that shrinks
+/// back to one slot returns inline, so `Many` always holds two or more.
+#[derive(Debug, Clone)]
+enum Bucket {
+    One(usize),
+    Many(Vec<usize>),
+}
+
+impl Bucket {
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Bucket::One(s) => std::slice::from_ref(s),
+            Bucket::Many(v) => v,
+        }
+    }
+
+    /// Append `slot`; returns its position in the bucket.
+    fn push(&mut self, slot: usize) -> usize {
+        match self {
+            Bucket::One(first) => {
+                *self = Bucket::Many(vec![*first, slot]);
+                1
+            }
+            Bucket::Many(v) => {
+                v.push(slot);
+                v.len() - 1
+            }
+        }
+    }
+
+    /// Remove the slot at position `p` of a spilled bucket by
+    /// `swap_remove`; returns the slot moved into `p`, if any. A bucket
+    /// left with one slot returns inline (that slot is then at position 0).
+    fn swap_remove(&mut self, p: usize) -> Option<usize> {
+        let Bucket::Many(v) = self else {
+            unreachable!("a one-slot bucket is removed whole");
+        };
+        v.swap_remove(p);
+        let moved = v.get(p).copied();
+        if let [only] = v[..] {
+            *self = Bucket::One(only);
+        }
+        moved
+    }
 }
 
 fn index_key(m: &Match) -> Option<(scotch_net::IpAddr, scotch_net::IpAddr)> {
@@ -217,19 +273,26 @@ impl FlowTable {
 
     fn bucket(&self, m: &Match) -> &[usize] {
         match index_key(m) {
-            Some(k) => self.by_src_dst.get(&k).map(|v| v.as_slice()).unwrap_or(&[]),
+            Some(k) => self.by_src_dst.get(&k).map_or(&[], Bucket::as_slice),
             None => &self.generic,
         }
     }
 
     /// Append `slot` to its index bucket, recording its position.
     fn link(&mut self, slot: usize, matcher: &Match) {
-        let bucket = match index_key(matcher) {
-            Some(k) => self.by_src_dst.entry(k).or_default(),
-            None => &mut self.generic,
+        self.pos[slot] = match index_key(matcher) {
+            Some(k) => match self.by_src_dst.entry(k) {
+                Entry::Occupied(mut e) => e.get_mut().push(slot),
+                Entry::Vacant(e) => {
+                    e.insert(Bucket::One(slot));
+                    0
+                }
+            },
+            None => {
+                self.generic.push(slot);
+                self.generic.len() - 1
+            }
         };
-        self.pos[slot] = bucket.len();
-        bucket.push(slot);
     }
 
     /// Remove `slot` from its index bucket in O(1) via `swap_remove` at the
@@ -238,14 +301,12 @@ impl FlowTable {
         let p = self.pos[slot];
         match index_key(matcher) {
             Some(k) => {
-                if let Some(v) = self.by_src_dst.get_mut(&k) {
-                    debug_assert_eq!(v.get(p), Some(&slot));
-                    v.swap_remove(p);
-                    if let Some(&moved) = v.get(p) {
-                        self.pos[moved] = p;
-                    }
-                    if v.is_empty() {
+                if let Some(b) = self.by_src_dst.get_mut(&k) {
+                    debug_assert_eq!(b.as_slice().get(p), Some(&slot));
+                    if let Bucket::One(_) = b {
                         self.by_src_dst.remove(&k);
+                    } else if let Some(moved) = b.swap_remove(p) {
+                        self.pos[moved] = p;
                     }
                 }
             }
@@ -404,8 +465,7 @@ impl FlowTable {
         let indexed = self
             .by_src_dst
             .get(&(packet.key.src, packet.key.dst))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[]);
+            .map_or(&[][..], Bucket::as_slice);
         for &i in indexed.iter().chain(self.generic.iter()) {
             let Some(e) = self.slots[i].as_ref() else {
                 continue;
@@ -466,15 +526,6 @@ impl FlowTable {
     }
 }
 
-/// Result of running a packet through a [`Pipeline`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PipelineVerdict {
-    /// Apply these actions (in order) to the packet.
-    Actions(Vec<Action>),
-    /// No table entry matched (table-miss).
-    Miss,
-}
-
 /// An ordered chain of flow tables, processed OpenFlow-1.3 style.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -525,23 +576,12 @@ impl Pipeline {
     }
 
     /// Run `packet` through the pipeline starting at table 0, following
-    /// `GotoTable` instructions and accumulating applied actions.
+    /// goto-table links and accumulating the applied actions into a
+    /// caller-owned (typically reused) buffer, which is cleared first.
+    /// Returns whether any table matched (`false` = table-miss).
     ///
-    /// `GotoTable` may only move forward (OpenFlow forbids loops); a
-    /// backwards goto terminates processing with whatever actions have been
-    /// gathered.
-    pub fn process(&mut self, now: SimTime, packet: &Packet, in_port: PortId) -> PipelineVerdict {
-        let mut actions = Vec::new();
-        if self.process_into(now, packet, in_port, &mut actions) {
-            PipelineVerdict::Actions(actions)
-        } else {
-            PipelineVerdict::Miss
-        }
-    }
-
-    /// Allocation-free variant of [`Pipeline::process`]: accumulates the
-    /// applied actions into a caller-owned (typically reused) buffer, which
-    /// is cleared first. Returns whether any table matched.
+    /// A goto may only move forward (OpenFlow forbids loops); a backwards
+    /// goto terminates processing with whatever actions have been gathered.
     pub fn process_into(
         &mut self,
         now: SimTime,
@@ -554,19 +594,9 @@ impl Pipeline {
         let mut matched_any = false;
         while let Some(entry) = self.tables[table].match_packet(now, packet, in_port) {
             matched_any = true;
-            let mut next: Option<usize> = None;
-            for inst in &entry.instructions {
-                match inst {
-                    Instruction::Apply(acts) => actions.extend(acts.iter().copied()),
-                    Instruction::GotoTable(t) => {
-                        if (t.0 as usize) > table {
-                            next = Some(t.0 as usize);
-                        }
-                    }
-                }
-            }
-            match next {
-                Some(t) if t < self.tables.len() => table = t,
+            actions.extend_from_slice(&entry.apply);
+            match entry.goto.map(|t| t.0 as usize) {
+                Some(t) if t > table && t < self.tables.len() => table = t,
                 _ => break,
             }
         }
@@ -593,16 +623,12 @@ mod tests {
         let mut t = FlowTable::new(10);
         t.insert(
             SimTime::ZERO,
-            FlowEntry::apply(Match::ANY, 1, vec![Action::Drop]),
+            FlowEntry::apply(Match::ANY, 1, &[Action::Drop]),
         )
         .unwrap();
         t.insert(
             SimTime::ZERO,
-            FlowEntry::apply(
-                Match::exact(pkt(5).key),
-                10,
-                vec![Action::Output(PortId(1))],
-            ),
+            FlowEntry::apply(Match::exact(pkt(5).key), 10, &[Action::Output(PortId(1))]),
         )
         .unwrap();
         let hit = t.lookup(&pkt(5), PortId(0)).unwrap();
@@ -617,12 +643,12 @@ mod tests {
         let mut t = FlowTable::new(10);
         t.insert(
             SimTime::ZERO,
-            FlowEntry::apply(Match::ANY, 5, vec![Action::Output(PortId(1))]).with_cookie(1),
+            FlowEntry::apply(Match::ANY, 5, &[Action::Output(PortId(1))]).with_cookie(1),
         )
         .unwrap();
         t.insert(
             SimTime::ZERO,
-            FlowEntry::apply(Match::on_port(PortId(0)), 5, vec![Action::Drop]).with_cookie(2),
+            FlowEntry::apply(Match::on_port(PortId(0)), 5, &[Action::Drop]).with_cookie(2),
         )
         .unwrap();
         assert_eq!(t.lookup(&pkt(1), PortId(0)).unwrap().cookie, 1);
@@ -633,25 +659,25 @@ mod tests {
         let mut t = FlowTable::new(2);
         t.insert(
             SimTime::ZERO,
-            FlowEntry::apply(Match::exact(pkt(1).key), 1, vec![]),
+            FlowEntry::apply(Match::exact(pkt(1).key), 1, &[]),
         )
         .unwrap();
         t.insert(
             SimTime::ZERO,
-            FlowEntry::apply(Match::exact(pkt(2).key), 1, vec![]),
+            FlowEntry::apply(Match::exact(pkt(2).key), 1, &[]),
         )
         .unwrap();
         assert_eq!(
             t.insert(
                 SimTime::ZERO,
-                FlowEntry::apply(Match::exact(pkt(3).key), 1, vec![])
+                FlowEntry::apply(Match::exact(pkt(3).key), 1, &[])
             ),
             Err(InsertError::TableFull)
         );
         // Same (match, priority) replaces in place even when full.
         t.insert(
             SimTime::ZERO,
-            FlowEntry::apply(Match::exact(pkt(1).key), 1, vec![Action::Drop]),
+            FlowEntry::apply(Match::exact(pkt(1).key), 1, &[Action::Drop]),
         )
         .unwrap();
         assert_eq!(t.len(), 2);
@@ -660,7 +686,7 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut t = FlowTable::new(4);
-        t.insert(SimTime::ZERO, FlowEntry::apply(Match::ANY, 1, vec![]))
+        t.insert(SimTime::ZERO, FlowEntry::apply(Match::ANY, 1, &[]))
             .unwrap();
         t.match_packet(SimTime::from_secs(1), &pkt(1).with_size(100), PortId(0));
         t.match_packet(SimTime::from_secs(2), &pkt(1).with_size(200), PortId(0));
@@ -675,7 +701,7 @@ mod tests {
         let mut t = FlowTable::new(4);
         t.insert(
             SimTime::from_secs(10),
-            FlowEntry::apply(Match::ANY, 1, vec![]).with_hard_timeout(SimDuration::from_secs(10)),
+            FlowEntry::apply(Match::ANY, 1, &[]).with_hard_timeout(SimDuration::from_secs(10)),
         )
         .unwrap();
         assert!(t.expire(SimTime::from_secs(15)).is_empty());
@@ -689,7 +715,7 @@ mod tests {
         let mut t = FlowTable::new(4);
         t.insert(
             SimTime::ZERO,
-            FlowEntry::apply(Match::ANY, 1, vec![]).with_idle_timeout(SimDuration::from_secs(5)),
+            FlowEntry::apply(Match::ANY, 1, &[]).with_idle_timeout(SimDuration::from_secs(5)),
         )
         .unwrap();
         // A hit at t=4 pushes expiry to t=9.
@@ -704,7 +730,7 @@ mod tests {
         for i in 0..4 {
             t.insert(
                 SimTime::ZERO,
-                FlowEntry::apply(Match::exact(pkt(i).key), 1, vec![]).with_cookie(i as u64 % 2),
+                FlowEntry::apply(Match::exact(pkt(i).key), 1, &[]).with_cookie(i as u64 % 2),
             )
             .unwrap();
         }
@@ -722,43 +748,38 @@ mod tests {
         p.table_mut(TableId(0))
             .insert(
                 SimTime::ZERO,
-                FlowEntry::new(
+                FlowEntry::apply(
                     Match::on_port(PortId(3)),
                     1,
-                    vec![
-                        Instruction::Apply(vec![Action::push_ingress(PortId(3))]),
-                        Instruction::GotoTable(TableId(1)),
-                    ],
-                ),
+                    &[Action::push_ingress(PortId(3))],
+                )
+                .with_goto(TableId(1)),
             )
             .unwrap();
         p.table_mut(TableId(1))
             .insert(
                 SimTime::ZERO,
-                FlowEntry::apply(Match::ANY, 0, vec![Action::Group(crate::group::GroupId(1))]),
+                FlowEntry::apply(Match::ANY, 0, &[Action::Group(crate::group::GroupId(1))]),
             )
             .unwrap();
-        match p.process(SimTime::ZERO, &pkt(1), PortId(3)) {
-            PipelineVerdict::Actions(a) => {
-                assert_eq!(
-                    a,
-                    vec![
-                        Action::push_ingress(PortId(3)),
-                        Action::Group(crate::group::GroupId(1))
-                    ]
-                );
-            }
-            PipelineVerdict::Miss => panic!("expected actions"),
-        }
+        let mut a = Vec::new();
+        assert!(p.process_into(SimTime::ZERO, &pkt(1), PortId(3), &mut a));
+        assert_eq!(
+            a,
+            vec![
+                Action::push_ingress(PortId(3)),
+                Action::Group(crate::group::GroupId(1))
+            ]
+        );
     }
 
     #[test]
     fn pipeline_miss_when_nothing_matches() {
         let mut p = Pipeline::new(1, 10);
-        assert_eq!(
-            p.process(SimTime::ZERO, &pkt(1), PortId(0)),
-            PipelineVerdict::Miss
-        );
+        // A stale buffer is cleared even on a miss.
+        let mut a = vec![Action::Drop];
+        assert!(!p.process_into(SimTime::ZERO, &pkt(1), PortId(0), &mut a));
+        assert!(a.is_empty());
     }
 
     #[test]
@@ -767,27 +788,19 @@ mod tests {
         p.table_mut(TableId(1))
             .insert(
                 SimTime::ZERO,
-                FlowEntry::new(Match::ANY, 1, vec![Instruction::GotoTable(TableId(0))]),
+                FlowEntry::apply(Match::ANY, 1, &[]).with_goto(TableId(0)),
             )
             .unwrap();
         p.table_mut(TableId(0))
             .insert(
                 SimTime::ZERO,
-                FlowEntry::new(
-                    Match::ANY,
-                    1,
-                    vec![
-                        Instruction::Apply(vec![Action::Output(PortId(1))]),
-                        Instruction::GotoTable(TableId(1)),
-                    ],
-                ),
+                FlowEntry::apply(Match::ANY, 1, &[Action::Output(PortId(1))]).with_goto(TableId(1)),
             )
             .unwrap();
         // Must terminate (no loop) and keep the applied action.
-        match p.process(SimTime::ZERO, &pkt(1), PortId(0)) {
-            PipelineVerdict::Actions(a) => assert_eq!(a, vec![Action::Output(PortId(1))]),
-            PipelineVerdict::Miss => panic!(),
-        }
+        let mut a = Vec::new();
+        assert!(p.process_into(SimTime::ZERO, &pkt(1), PortId(0), &mut a));
+        assert_eq!(a, vec![Action::Output(PortId(1))]);
     }
 
     proptest! {
@@ -806,7 +819,7 @@ mod tests {
                 } else {
                     Match { sport: Some(i as u16), ..Match::ANY }
                 };
-                t.insert(SimTime::ZERO, FlowEntry::apply(m, *p, vec![])).unwrap();
+                t.insert(SimTime::ZERO, FlowEntry::apply(m, *p, &[])).unwrap();
             }
             let packet = pkt(probe);
             if let Some(hit) = t.lookup(&packet, PortId(0)) {
@@ -821,47 +834,96 @@ mod tests {
         }
 
         /// The indexed lookup agrees with a naive full scan on arbitrary
-        /// rule sets (the index is an optimization, never a semantic
-        /// change).
+        /// rule sets under arbitrary churn (the index is an optimization,
+        /// never a semantic change). Inserts interleave with exact removal,
+        /// removal by cookie and timeout expiry; rules spread over three
+        /// `(src, dst)` keys so index buckets move between one inline slot
+        /// and a spilled list in both directions.
         #[test]
         fn prop_index_equals_full_scan(
-            specs in proptest::collection::vec((0u16..8, 0u16..8, 0u16..4, 0u16..50), 1..60),
-            probe_sport in 0u16..8,
-            probe_port in 0u16..4,
+            ops in proptest::collection::vec(
+                (0u8..10, 0u16..5, 0u16..6, 0u8..3, 0u16..3, 0u16..8),
+                1..80,
+            ),
         ) {
-            let mut t = FlowTable::new(specs.len());
-            let mut naive: Vec<(Match, u16, u64)> = Vec::new();
-            for (i, (kind, sport, port, prio)) in specs.iter().enumerate() {
-                // Mix of indexed (src+dst) and generic (wildcard) rules.
-                let m = match kind % 4 {
-                    0 => Match::exact(pkt(*sport).key),
-                    1 => Match::src_dst(pkt(*sport).key.src, pkt(*sport).key.dst),
-                    2 => Match::on_port(PortId(*port)),
+            const CAPACITY: usize = 16;
+            let probe = |sport: u16, host: u8| {
+                let mut p = pkt(sport);
+                p.key.dst = IpAddr::new(2, 0, 0, host);
+                p
+            };
+            // Oracle rows in install order: (match, priority, cookie,
+            // installed at, hard timeout), all times in seconds.
+            let mut naive: Vec<(Match, u16, u64, u64, Option<u64>)> = Vec::new();
+            let mut t = FlowTable::new(CAPACITY);
+            for (step, (op, kind, sport, host, port, prio)) in ops.iter().enumerate() {
+                let now = step as u64;
+                let key = probe(*sport, *host).key;
+                let m = match kind {
+                    0 => Match::exact(key),
+                    1 => Match::src_dst(key.src, key.dst),
+                    2 => Match::src_dst(key.src, key.dst).with_in_port(PortId(*port)),
+                    3 => Match::on_port(PortId(*port)),
                     _ => Match { sport: Some(*sport), ..Match::ANY },
                 };
-                let _ = t.insert(
-                    SimTime::ZERO,
-                    FlowEntry::apply(m, *prio, vec![]).with_cookie(i as u64),
-                );
-                // Mirror replacement semantics in the oracle.
-                if let Some(e) = naive.iter_mut().find(|(om, op, _)| *om == m && *op == *prio) {
-                    e.2 = i as u64;
-                } else if naive.len() < specs.len() {
-                    naive.push((m, *prio, i as u64));
+                let cookie = u64::from(*sport % 3);
+                match op {
+                    0..=5 => {
+                        let hard = match (kind + sport + prio) % 4 {
+                            0 => None,
+                            h => Some(u64::from(h)),
+                        };
+                        let mut e = FlowEntry::apply(m, *prio, &[]).with_cookie(cookie);
+                        if let Some(h) = hard {
+                            e = e.with_hard_timeout(SimDuration::from_secs(h));
+                        }
+                        let got = t.insert(SimTime::from_secs(now), e);
+                        // Replacement keeps the install position.
+                        if let Some(row) = naive.iter_mut().find(|r| r.0 == m && r.1 == *prio) {
+                            *row = (m, *prio, cookie, now, hard);
+                            prop_assert_eq!(got, Ok(()));
+                        } else if naive.len() < CAPACITY {
+                            naive.push((m, *prio, cookie, now, hard));
+                            prop_assert_eq!(got, Ok(()));
+                        } else {
+                            prop_assert_eq!(got, Err(InsertError::TableFull));
+                        }
+                    }
+                    6 => {
+                        let before = naive.len();
+                        naive.retain(|r| r.0 != m);
+                        prop_assert_eq!(t.remove_exact(&m), before - naive.len());
+                    }
+                    7 => {
+                        let before = naive.len();
+                        naive.retain(|r| r.2 != cookie);
+                        prop_assert_eq!(t.remove_by_cookie(cookie), before - naive.len());
+                    }
+                    _ => {
+                        let before = naive.len();
+                        naive.retain(|r| r.4.is_none_or(|h| now - r.3 < h));
+                        prop_assert_eq!(t.expire(SimTime::from_secs(now)).len(), before - naive.len());
+                    }
+                }
+                prop_assert_eq!(t.len(), naive.len());
+                prop_assert_eq!(t.iter().count(), naive.len());
+                // Probe every packet shape the rules can distinguish.
+                for (s, h, p) in (0..6).flat_map(|s| (0..3).flat_map(move |h| (0..3).map(move |p| (s, h, p)))) {
+                    let packet = probe(s, h);
+                    let got = t
+                        .lookup(&packet, PortId(p))
+                        .map(|e| (e.matcher, e.priority, e.cookie));
+                    // Oracle: max priority; ties break toward the earliest
+                    // install (`naive`'s order IS install order).
+                    let want = naive
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, r)| r.0.matches(&packet, PortId(p)))
+                        .max_by(|(ia, a), (ib, b)| a.1.cmp(&b.1).then(ib.cmp(ia)))
+                        .map(|(_, r)| (r.0, r.1, r.2));
+                    prop_assert_eq!(got, want);
                 }
             }
-            let packet = pkt(probe_sport);
-            let got = t.lookup(&packet, PortId(probe_port)).map(|e| e.cookie);
-            // Oracle: max priority; ties break toward the earliest install
-            // (replacement keeps the original position, hence `naive`'s
-            // vector order IS install order).
-            let want = naive
-                .iter()
-                .enumerate()
-                .filter(|(_, (m, _, _))| m.matches(&packet, PortId(probe_port)))
-                .max_by(|(ia, (_, pa, _)), (ib, (_, pb, _))| pa.cmp(pb).then(ib.cmp(ia)))
-                .map(|(_, (_, _, c))| *c);
-            prop_assert_eq!(got, want);
         }
 
         /// Inserting then removing by cookie leaves no trace of that cookie.
@@ -870,7 +932,7 @@ mod tests {
             let mut t = FlowTable::new(cookies.len());
             for (i, c) in cookies.iter().enumerate() {
                 let m = Match { sport: Some(i as u16), ..Match::ANY };
-                t.insert(SimTime::ZERO, FlowEntry::apply(m, 1, vec![]).with_cookie(*c)).unwrap();
+                t.insert(SimTime::ZERO, FlowEntry::apply(m, 1, &[]).with_cookie(*c)).unwrap();
             }
             let removed = t.remove_by_cookie(3);
             prop_assert_eq!(removed, cookies.iter().filter(|&&c| c == 3).count());

@@ -30,7 +30,7 @@ use crate::messages::{
     ControllerToSwitch, FlowModCommand, FlowStat, GroupModCommand, OfError, PacketInReason,
     SwitchToController,
 };
-use crate::ofmatch::{Action, Instruction, Match};
+use crate::ofmatch::{Action, ActionList, Match};
 use crate::table::{FlowEntry, TableId};
 use scotch_net::{
     FlowId, FlowKey, IpAddr, Label, LabelStack, Packet, PacketKind, PortId, Protocol, TunnelId,
@@ -494,55 +494,70 @@ fn decode_action_list(r: &mut Reader, total: usize) -> Result<Vec<Action>, WireE
     Ok(actions)
 }
 
-fn encode_instructions(w: &mut Writer, instructions: &[Instruction]) -> Result<(), WireError> {
-    for inst in instructions {
-        match inst {
-            Instruction::GotoTable(t) => {
-                w.u16(1); // OFPIT_GOTO_TABLE
-                w.u16(8);
-                w.u8(t.0);
-                w.pad(3);
-            }
-            Instruction::Apply(actions) => {
-                w.u16(4); // OFPIT_APPLY_ACTIONS
-                let len_at = w.buf.len();
-                w.u16(0);
-                w.pad(4);
-                let start = w.buf.len();
-                encode_action_list(w, actions)?;
-                let alen = w.buf.len() - start;
-                w.patch_u16(len_at, (alen + 8) as u16);
-            }
-        }
+/// Encode an entry's instruction set: APPLY_ACTIONS (omitted when the
+/// list is empty) then GOTO_TABLE (when set).
+fn encode_instructions(w: &mut Writer, entry: &FlowEntry) -> Result<(), WireError> {
+    if !entry.apply.is_empty() {
+        w.u16(4); // OFPIT_APPLY_ACTIONS
+        let len_at = w.buf.len();
+        w.u16(0);
+        w.pad(4);
+        let start = w.buf.len();
+        encode_action_list(w, &entry.apply)?;
+        let alen = w.buf.len() - start;
+        w.patch_u16(len_at, (alen + 8) as u16);
+    }
+    if let Some(t) = entry.goto {
+        w.u16(1); // OFPIT_GOTO_TABLE
+        w.u16(8);
+        w.u8(t.0);
+        w.pad(3);
     }
     Ok(())
 }
 
-fn decode_instructions(r: &mut Reader) -> Result<Vec<Instruction>, WireError> {
-    let mut out = Vec::new();
+/// Decode an instruction set into the entry's apply list and goto table.
+/// Each instruction is read within its declared length; OpenFlow 1.3
+/// allows at most one instruction of each type per entry, and the model
+/// holds at most [`ActionList::CAPACITY`] applied actions.
+fn decode_instructions(r: &mut Reader) -> Result<(ActionList, Option<TableId>), WireError> {
+    let mut apply: Option<ActionList> = None;
+    let mut goto: Option<TableId> = None;
     while r.remaining() >= 4 {
         let itype = r.u16()?;
         let ilen = r.u16()? as usize;
         if ilen < 4 {
             return Err(WireError::Malformed("instruction length"));
         }
+        let mut body = Reader::new(r.take(ilen - 4)?);
         match itype {
             1 => {
-                let table = r.u8()?;
-                r.skip(3)?;
-                out.push(Instruction::GotoTable(TableId(table)));
+                if ilen != 8 {
+                    return Err(WireError::Malformed("goto-table instruction length"));
+                }
+                if goto.is_some() {
+                    return Err(WireError::Malformed("duplicate goto-table instruction"));
+                }
+                goto = Some(TableId(body.u8()?));
             }
             4 => {
-                r.skip(4)?;
-                let actions = decode_action_list(r, ilen - 8)?;
-                out.push(Instruction::Apply(actions));
+                if ilen < 8 {
+                    return Err(WireError::Malformed("apply-actions instruction length"));
+                }
+                if apply.is_some() {
+                    return Err(WireError::Malformed("duplicate apply-actions instruction"));
+                }
+                body.skip(4)?;
+                let actions = decode_action_list(&mut body, ilen - 8)?;
+                if actions.len() > ActionList::CAPACITY {
+                    return Err(WireError::Malformed("apply-actions longer than 4 actions"));
+                }
+                apply = Some(ActionList::from_slice(&actions));
             }
-            _ => {
-                r.skip(ilen - 4)?;
-            }
+            _ => {}
         }
     }
-    Ok(out)
+    Ok((apply.unwrap_or_default(), goto))
 }
 
 // ---------------------------------------------------------------------
@@ -803,7 +818,7 @@ pub fn encode_message(msg: &OfMessage, xid: u32) -> Result<Vec<u8>, WireError> {
                 match command {
                     FlowModCommand::Add(e) => {
                         encode_match(&mut w, &e.matcher)?;
-                        encode_instructions(&mut w, &e.instructions)?;
+                        encode_instructions(&mut w, e)?;
                     }
                     FlowModCommand::DeleteByCookie(_) | FlowModCommand::DeleteAll => {
                         encode_match(&mut w, &Match::ANY)?;
@@ -1040,8 +1055,9 @@ pub fn decode_message(buf: &[u8]) -> Result<(OfMessage, u32), WireError> {
             let dm = decode_match(&mut r)?;
             match cmd {
                 0 => {
-                    let instructions = decode_instructions(&mut r)?;
-                    let mut e = FlowEntry::new(dm.matcher, priority, instructions);
+                    let (apply, goto) = decode_instructions(&mut r)?;
+                    let mut e = FlowEntry::apply(dm.matcher, priority, &apply);
+                    e.goto = goto;
                     e.cookie = cookie;
                     if idle > 0 {
                         e.idle_timeout = Some(SimDuration::from_secs(idle as u64));
@@ -1271,17 +1287,15 @@ mod tests {
 
     #[test]
     fn flow_mod_add_roundtrip() {
-        let entry = FlowEntry::new(
+        let entry = FlowEntry::apply(
             Match::exact(key()).with_in_port(PortId(3)),
             100,
-            vec![
-                Instruction::Apply(vec![
-                    Action::PushLabel(Label::Tunnel(TunnelId(12))),
-                    Action::Output(PortId(7)),
-                ]),
-                Instruction::GotoTable(TableId(1)),
+            &[
+                Action::PushLabel(Label::Tunnel(TunnelId(12))),
+                Action::Output(PortId(7)),
             ],
         )
+        .with_goto(TableId(1))
         .with_cookie(0xABCD)
         .with_idle_timeout(SimDuration::from_secs(10));
         let msg = OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
@@ -1298,7 +1312,8 @@ mod tests {
                 assert_eq!(e.priority, 100);
                 assert_eq!(e.cookie, 0xABCD);
                 assert_eq!(e.idle_timeout, Some(SimDuration::from_secs(10)));
-                assert_eq!(e.instructions, entry.instructions);
+                assert_eq!(e.apply, entry.apply);
+                assert_eq!(e.goto, Some(TableId(1)));
             }
             other => panic!("{other:?}"),
         }
@@ -1331,7 +1346,7 @@ mod tests {
 
     #[test]
     fn drop_rule_roundtrips_as_empty_action_list() {
-        let entry = FlowEntry::apply(Match::ANY, 1, vec![Action::Drop]);
+        let entry = FlowEntry::apply(Match::ANY, 1, &[Action::Drop]);
         match roundtrip(OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
             table: TableId(0),
             command: FlowModCommand::Add(entry),
@@ -1339,9 +1354,100 @@ mod tests {
             OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
                 command: FlowModCommand::Add(e),
                 ..
-            }) => assert_eq!(e.instructions, vec![Instruction::Apply(vec![Action::Drop])]),
+            }) => {
+                assert_eq!(e.apply, ActionList::from_slice(&[Action::Drop]));
+                assert_eq!(e.goto, None);
+            }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn goto_only_rule_roundtrips_without_actions() {
+        let entry = FlowEntry::apply(Match::ANY, 1, &[]).with_goto(TableId(1));
+        match roundtrip(OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
+            table: TableId(0),
+            command: FlowModCommand::Add(entry),
+        })) {
+            OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
+                command: FlowModCommand::Add(e),
+                ..
+            }) => {
+                assert!(e.apply.is_empty());
+                assert_eq!(e.goto, Some(TableId(1)));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn short_apply_actions_instruction_is_malformed() {
+        // APPLY_ACTIONS declaring 6 bytes (< its 8-byte header), followed
+        // by more bytes: once underflowed `ilen - 8`.
+        let bytes = [0, 4, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0];
+        assert!(matches!(
+            decode_instructions(&mut Reader::new(&bytes)),
+            Err(WireError::Malformed(_))
+        ));
+        for ilen in 4..8u8 {
+            let bytes = [0, 4, 0, ilen, 0, 0, 0, 0, 0, 0, 0, 0];
+            assert!(matches!(
+                decode_instructions(&mut Reader::new(&bytes)),
+                Err(WireError::Malformed(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn oversized_goto_table_instruction_is_malformed() {
+        // GOTO_TABLE declaring 16 bytes: the trailing APPLY_ACTIONS header
+        // lies inside it and must not decode as a phantom `Apply([Drop])`.
+        let bytes = [0, 1, 0, 16, 1, 0, 0, 0, 0, 4, 0, 8, 0, 0, 0, 0];
+        assert!(matches!(
+            decode_instructions(&mut Reader::new(&bytes)),
+            Err(WireError::Malformed(_))
+        ));
+        // The well-formed pair decodes to exactly a goto plus a drop.
+        let bytes = [0, 1, 0, 8, 1, 0, 0, 0, 0, 4, 0, 8, 0, 0, 0, 0];
+        let (apply, goto) = decode_instructions(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(goto, Some(TableId(1)));
+        assert_eq!(apply, ActionList::from_slice(&[Action::Drop]));
+    }
+
+    #[test]
+    fn duplicate_instructions_are_malformed() {
+        let goto = [0, 1, 0, 8, 1, 0, 0, 0];
+        let bytes: Vec<u8> = goto.iter().chain(goto.iter()).copied().collect();
+        assert!(matches!(
+            decode_instructions(&mut Reader::new(&bytes)),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn apply_actions_beyond_capacity_is_an_error() {
+        // Five OUTPUT actions (16 bytes each) under one APPLY_ACTIONS.
+        let mut w = Writer::new();
+        w.u16(4);
+        w.u16(8 + 5 * 16);
+        w.pad(4);
+        for p in 0..5 {
+            encode_action(&mut w, &Action::Output(PortId(p))).unwrap();
+        }
+        assert!(matches!(
+            decode_instructions(&mut Reader::new(&w.buf)),
+            Err(WireError::Malformed(_))
+        ));
+        // Four fit.
+        let mut w = Writer::new();
+        w.u16(4);
+        w.u16(8 + 4 * 16);
+        w.pad(4);
+        for p in 0..4 {
+            encode_action(&mut w, &Action::Output(PortId(p))).unwrap();
+        }
+        let (apply, _) = decode_instructions(&mut Reader::new(&w.buf)).unwrap();
+        assert_eq!(apply.len(), 4);
     }
 
     #[test]
@@ -1592,7 +1698,7 @@ mod tests {
             // ICMP matches with ports are not meaningful on the wire (the
             // codec encodes ports as TCP fields); skip that corner.
             prop_assume!(!(proto == Some(Protocol::Icmp) && (sport.is_some() || dport.is_some())));
-            let entry = FlowEntry::apply(m, 5, vec![Action::Output(PortId(1))]);
+            let entry = FlowEntry::apply(m, 5, &[Action::Output(PortId(1))]);
             let bytes = encode_message(
                 &OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
                     table: TableId(0),
@@ -1777,7 +1883,7 @@ mod frame_tests {
                 10,
             )),
             9,
-            vec![Action::Output(PortId(3)), Action::push_tunnel(TunnelId(2))],
+            &[Action::Output(PortId(3)), Action::push_tunnel(TunnelId(2))],
         );
         let bytes = encode_message(
             &OfMessage::ToSwitch(ControllerToSwitch::FlowMod {

@@ -31,8 +31,8 @@ use scotch_controller::{
 use scotch_net::{FlowKey, IpAddr, NodeId, Packet, PortId, Topology, TunnelId};
 use scotch_openflow::messages::{GroupModCommand, OfError};
 use scotch_openflow::{
-    Action, Bucket, ControllerToSwitch, FlowEntry, FlowModCommand, GroupEntry, GroupId,
-    Instruction, Match, SwitchToController, TableId,
+    Action, ActionList, Bucket, ControllerToSwitch, FlowEntry, FlowModCommand, GroupEntry, GroupId,
+    Match, SwitchToController, TableId,
 };
 use scotch_sim::journey::{
     JourneyPoint, JourneyRecorder, VERDICT_DIRECT, VERDICT_DROP, VERDICT_DUPLICATE,
@@ -348,7 +348,7 @@ impl ScotchApp {
             let g1 = FlowEntry::apply(
                 Match::ANY.with_top_label(Some(scotch_net::Label::Tunnel(tin))),
                 GREEN_RULE_PRIORITY + 10,
-                vec![Action::PopLabel, Action::Output(mb_in_port)],
+                &[Action::PopLabel, Action::Output(mb_in_port)],
             );
             cmds.push(Command::new(
                 chain.upstream,
@@ -378,7 +378,7 @@ impl ScotchApp {
                     let g2 = FlowEntry::apply(
                         Match::on_port(mb_return_port).with_top_label(None),
                         GREEN_RULE_PRIORITY,
-                        vec![
+                        &[
                             Action::PushLabel(scotch_net::Label::Tunnel(tout)),
                             Action::Output(out_port),
                         ],
@@ -481,14 +481,17 @@ impl ScotchApp {
     // Message handling
     // ------------------------------------------------------------------
 
-    /// Process one message from a switch or vSwitch.
+    /// Process one message from a switch or vSwitch, appending the
+    /// commands it triggers to `out`. The simulation passes one reused
+    /// buffer, so the Packet-In path allocates no command list.
     pub fn handle_switch_msg(
         &mut self,
         now: SimTime,
         topo: &Topology,
         from: NodeId,
         msg: SwitchToController,
-    ) -> Vec<Command> {
+        out: &mut Vec<Command>,
+    ) {
         match msg {
             SwitchToController::PacketIn {
                 packet,
@@ -496,11 +499,19 @@ impl ScotchApp {
                 via_tunnel,
                 ingress_label,
                 ..
-            } => self.on_packet_in(now, topo, from, in_port, packet, via_tunnel, ingress_label),
+            } => self.on_packet_in(
+                now,
+                topo,
+                from,
+                in_port,
+                packet,
+                via_tunnel,
+                ingress_label,
+                out,
+            ),
             SwitchToController::FlowStatsReply { stats } => self.on_stats_reply(now, from, &stats),
             SwitchToController::EchoReply { .. } => {
                 self.heartbeats.on_reply(from, now);
-                Vec::new()
             }
             SwitchToController::FlowRemoved { cookie, .. } => {
                 if let Some(key) = self.cookie_key(cookie) {
@@ -515,7 +526,6 @@ impl ScotchApp {
                         }
                     }
                 }
-                Vec::new()
             }
             SwitchToController::Error { kind } => {
                 if matches!(kind, OfError::FlowModOverload | OfError::TableFull) {
@@ -524,9 +534,8 @@ impl ScotchApp {
                 if kind == OfError::TableFull && self.switches.contains_key(&from) {
                     self.tcam_monitor.record(from, now);
                 }
-                Vec::new()
             }
-            SwitchToController::BarrierReply { .. } => Vec::new(),
+            SwitchToController::BarrierReply { .. } => {}
         }
     }
 
@@ -540,7 +549,8 @@ impl ScotchApp {
         packet: Packet,
         via_tunnel: Option<TunnelId>,
         ingress_label: Option<u16>,
-    ) -> Vec<Command> {
+        out: &mut Vec<Command>,
+    ) {
         self.stats.packet_ins += 1;
 
         // §5.2: recover the originating physical switch and ingress port.
@@ -572,7 +582,8 @@ impl ScotchApp {
         if duplicate {
             self.stats.duplicate_packet_ins += 1;
             self.journey_decision(now, &packet, origin, VERDICT_DUPLICATE);
-            return self.deliver_direct(topo, &packet);
+            self.deliver_direct(topo, &packet, out);
+            return;
         }
 
         match self.mode {
@@ -585,7 +596,7 @@ impl ScotchApp {
                     origin_port,
                     enqueued_at: now,
                 };
-                self.admit_physical(now, topo, pf)
+                self.admit_physical(now, topo, pf, out)
             }
             ControllerMode::Scotch => {
                 let pf = PendingFlow {
@@ -599,7 +610,8 @@ impl ScotchApp {
                 let Some(ctl) = self.switches.get_mut(&origin) else {
                     // Packet-in from an unmanaged switch (e.g. a host
                     // vSwitch acting reactively): admit immediately.
-                    return self.admit_physical(now, topo, pf);
+                    self.admit_physical(now, topo, pf, out);
+                    return;
                 };
                 let key = pf.key;
                 let journey = (pf.packet.kind == scotch_net::PacketKind::FlowStart)
@@ -624,10 +636,9 @@ impl ScotchApp {
                 match (outcome, shed) {
                     (EnqueueOutcome::Queued, _) => {
                         self.pending.insert(key);
-                        Vec::new()
                     }
                     (EnqueueOutcome::RouteOnOverlay, Some(pf)) => {
-                        self.route_on_overlay(now, topo, pf)
+                        self.route_on_overlay(now, topo, pf, out)
                     }
                     (EnqueueOutcome::Dropped, _) => {
                         self.stats.dropped += 1;
@@ -644,7 +655,6 @@ impl ScotchApp {
                                 );
                             }
                         }
-                        Vec::new()
                     }
                     (EnqueueOutcome::RouteOnOverlay, None) => unreachable!(),
                 }
@@ -659,7 +669,7 @@ impl ScotchApp {
     /// relaying it around the firewall would leave the firewall stateless
     /// and break every later packet of the flow (§5.4) — so those are
     /// injected at the middlebox's upstream switch instead.
-    fn deliver_direct(&mut self, topo: &Topology, packet: &Packet) -> Vec<Command> {
+    fn deliver_direct(&mut self, topo: &Topology, packet: &Packet, out: &mut Vec<Command>) {
         // Only overlay-routed flows are re-injected through the middlebox:
         // their downstream per-flow vSwitch rules are (about to be) in
         // place, so the packet drains. Re-injecting a flow *without* those
@@ -672,26 +682,26 @@ impl ScotchApp {
         if packet.kind == scotch_net::PacketKind::FlowStart && on_overlay {
             if let Some(chain) = self.policies.get(&packet.key.dst) {
                 if let Some(mb_in) = topo.port_towards(chain.upstream, chain.middlebox) {
-                    return vec![Command::new(
+                    out.push(Command::new(
                         chain.upstream,
                         ControllerToSwitch::PacketOut {
                             packet: *packet,
                             out_port: mb_in,
                         },
-                    )];
+                    ));
+                    return;
                 }
             }
         }
-        let Some(att) = self.book.locate(packet.key.dst) else {
-            return Vec::new();
-        };
-        vec![Command::new(
-            att.switch,
-            ControllerToSwitch::PacketOut {
-                packet: *packet,
-                out_port: att.switch_port,
-            },
-        )]
+        if let Some(att) = self.book.locate(packet.key.dst) {
+            out.push(Command::new(
+                att.switch,
+                ControllerToSwitch::PacketOut {
+                    packet: *packet,
+                    out_port: att.switch_port,
+                },
+            ));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -700,12 +710,18 @@ impl ScotchApp {
 
     /// Install the flow on the physical network: per-switch red rules along
     /// the (policy-respecting) path + a PacketOut for the buffered packet.
-    fn admit_physical(&mut self, now: SimTime, topo: &Topology, pf: PendingFlow) -> Vec<Command> {
+    fn admit_physical(
+        &mut self,
+        now: SimTime,
+        topo: &Topology,
+        pf: PendingFlow,
+        out: &mut Vec<Command>,
+    ) {
         self.pending.remove(&pf.key);
         let Some(dst_att) = self.book.locate(pf.key.dst) else {
             self.stats.unroutable += 1;
             self.journey_decision(now, &pf.packet, pf.origin, VERDICT_UNROUTABLE);
-            return Vec::new();
+            return;
         };
         let waypoints = self.waypoints(pf.key.dst);
         let start = self
@@ -717,7 +733,7 @@ impl ScotchApp {
         let Some(path) = topo.path_via(start, &waypoints, dst_att.host) else {
             self.stats.unroutable += 1;
             self.journey_decision(now, &pf.packet, pf.origin, VERDICT_UNROUTABLE);
-            return Vec::new();
+            return;
         };
 
         let cookie = self.next_cookie(pf.key);
@@ -728,7 +744,6 @@ impl ScotchApp {
             cookie,
             self.config.rule_idle_timeout,
         );
-        let mut out = Vec::new();
         let mut origin_rules_sent = 0;
         for cmd in rules {
             if self.mode == ControllerMode::Baseline {
@@ -814,7 +829,6 @@ impl ScotchApp {
                 via_overlay: false,
             },
         );
-        out
     }
 
     // ------------------------------------------------------------------
@@ -823,19 +837,25 @@ impl ScotchApp {
 
     /// Route the flow over the vSwitch overlay (§4.2 steps 3–5; §5.4 for
     /// policy-bound destinations).
-    fn route_on_overlay(&mut self, now: SimTime, topo: &Topology, pf: PendingFlow) -> Vec<Command> {
+    fn route_on_overlay(
+        &mut self,
+        now: SimTime,
+        topo: &Topology,
+        pf: PendingFlow,
+        out: &mut Vec<Command>,
+    ) {
         self.pending.remove(&pf.key);
         let Some(dst_att) = self.book.locate(pf.key.dst) else {
             self.stats.unroutable += 1;
             self.journey_decision(now, &pf.packet, pf.origin, VERDICT_UNROUTABLE);
-            return Vec::new();
+            return;
         };
         let Some(w) = self.overlay.host_vswitch_of(dst_att.host) else {
             // Destination not covered by a host vSwitch: cannot deliver on
             // the overlay.
             self.stats.overlay_undeliverable += 1;
             self.journey_decision(now, &pf.packet, pf.origin, VERDICT_UNROUTABLE);
-            return Vec::new();
+            return;
         };
         // V: the vSwitch holding the packet, or the destination's local
         // mesh vSwitch when the physical switch itself punted the flow.
@@ -847,25 +867,31 @@ impl ScotchApp {
                 None => {
                     self.stats.overlay_undeliverable += 1;
                     self.journey_decision(now, &pf.packet, pf.origin, VERDICT_UNROUTABLE);
-                    return Vec::new();
+                    return;
                 }
             }
         };
 
-        // Build the chain of (vSwitch, tunnel-to-next) segments.
-        let mut segments: Vec<(NodeId, Option<TunnelId>)> = Vec::new();
+        // Build the chain of (vSwitch, tunnel-to-next) segments: at most
+        // four (V, agg_in, agg_out, W on a policy path), held inline.
+        let mut chain_buf = [(NodeId(0), None::<TunnelId>); 4];
+        let mut len = 0;
+        let mut push = |segment| {
+            chain_buf[len] = segment;
+            len += 1;
+        };
         if let Some(chain) = self.policies.get(&pf.key.dst).copied() {
             // V -> agg_in -> S_U -> MB -> S_D -> agg_out -> W -> host.
             if v != chain.agg_in {
                 let t = self.overlay.mesh_tunnels.get(&(v, chain.agg_in)).copied();
-                segments.push((v, t));
+                push((v, t));
             }
             let tin = self
                 .overlay
                 .policy_in_tunnels
                 .get(&(chain.agg_in, chain.upstream))
                 .copied();
-            segments.push((chain.agg_in, tin));
+            push((chain.agg_in, tin));
             // S_U / S_D carry shared green rules — no per-flow rule there.
             if chain.agg_out != w {
                 let t = self
@@ -873,37 +899,37 @@ impl ScotchApp {
                     .delivery_tunnels
                     .get(&(chain.agg_out, w))
                     .copied();
-                segments.push((chain.agg_out, t));
+                push((chain.agg_out, t));
             }
-            segments.push((w, None));
+            push((w, None));
         } else {
             let m2 = self.overlay.local_mesh_of(dst_att.host).unwrap_or(v);
             if v != m2 && v != w {
                 let t = self.overlay.mesh_tunnels.get(&(v, m2)).copied();
-                segments.push((v, t));
+                push((v, t));
             }
             if m2 != w {
                 let t = self.overlay.delivery_tunnels.get(&(m2, w)).copied();
                 if v == m2 || v != w {
-                    segments.push((m2, t));
+                    push((m2, t));
                 }
             }
-            segments.push((w, None));
+            push((w, None));
         }
 
         // Every non-terminal segment needs its tunnel; a miss means the
         // fabric is mis-wired for this path — count it rather than
         // silently stranding the flow.
+        let segments = &chain_buf[..len];
         let terminal = segments.len().saturating_sub(1);
         if segments.iter().take(terminal).any(|(_, t)| t.is_none()) {
             self.stats.overlay_undeliverable += 1;
             self.journey_decision(now, &pf.packet, pf.origin, VERDICT_UNROUTABLE);
-            return Vec::new();
+            return;
         }
         let cookie = self.next_cookie(pf.key);
-        let mut out = Vec::new();
         let matcher = self.flow_matcher(&pf.key);
-        for (node, tunnel) in &segments {
+        for (node, tunnel) in segments {
             let actions = match tunnel {
                 Some(t) => {
                     let Some(tun) = self.overlay.tunnels.get(*t) else {
@@ -915,17 +941,17 @@ impl ScotchApp {
                     let Some(port) = topo.port_towards(*node, next) else {
                         continue;
                     };
-                    vec![Action::push_tunnel(*t), Action::Output(port)]
+                    ActionList::from_slice(&[Action::push_tunnel(*t), Action::Output(port)])
                 }
                 None => {
                     // Last hop: the host vSwitch delivers to the host.
                     let Some(port) = topo.port_towards(*node, dst_att.host) else {
                         continue;
                     };
-                    vec![Action::Output(port)]
+                    ActionList::from_slice(&[Action::Output(port)])
                 }
             };
-            let entry = FlowEntry::apply(matcher, PHYSICAL_RULE_PRIORITY, actions)
+            let entry = FlowEntry::apply(matcher, PHYSICAL_RULE_PRIORITY, &actions)
                 .with_cookie(cookie)
                 .with_idle_timeout(self.config.rule_idle_timeout);
             out.push(Command::new(
@@ -974,7 +1000,6 @@ impl ScotchApp {
                 via_overlay: true,
             },
         );
-        out
     }
 
     // ------------------------------------------------------------------
@@ -986,15 +1011,16 @@ impl ScotchApp {
         now: SimTime,
         topo: &Topology,
         job: MigrationJob,
-    ) -> Vec<Command> {
+        out: &mut Vec<Command>,
+    ) {
         let Some(info) = self.flowdb.get(&job.key).copied() else {
-            return Vec::new();
+            return;
         };
         if info.path != FlowPath::Overlay || info.migrated {
-            return Vec::new();
+            return;
         }
         let Some(dst_att) = self.book.locate(job.key.dst) else {
-            return Vec::new();
+            return;
         };
         // "checks the message rate of all switches on the path to make
         // sure their control plane is not overloaded". The relevant load
@@ -1017,7 +1043,7 @@ impl ScotchApp {
             if let Some(ctl) = self.switches.get_mut(&info.first_hop) {
                 ctl.scheduler.push_migration(job);
             }
-            return Vec::new();
+            return;
         }
 
         let waypoints = self.waypoints(job.key.dst);
@@ -1028,7 +1054,7 @@ impl ScotchApp {
             .map(|s| s.host)
             .unwrap_or(info.first_hop);
         let Some(path) = topo.path_via(start, &waypoints, dst_att.host) else {
-            return Vec::new();
+            return;
         };
         let cookie = self.next_cookie(job.key);
         let rules = plan_flow_rules(
@@ -1041,7 +1067,6 @@ impl ScotchApp {
         // "the forwarding rule on the first hop switch is added at last":
         // non-origin rules go out immediately; the origin's own rule rides
         // its admitted queue and lands on a later tick.
-        let mut out = Vec::new();
         let mut origin_rules = Vec::new();
         for cmd in rules {
             if cmd.to == info.first_hop {
@@ -1071,15 +1096,13 @@ impl ScotchApp {
                 deferred: false,
             },
         );
-        out
     }
 
     // ------------------------------------------------------------------
     // Activation & withdrawal (§4.2 / §5.5)
     // ------------------------------------------------------------------
 
-    fn activate(&mut self, now: SimTime, topo: &Topology, switch: NodeId) -> Vec<Command> {
-        let mut out = Vec::new();
+    fn activate(&mut self, now: SimTime, topo: &Topology, switch: NodeId, out: &mut Vec<Command>) {
         let gid = GroupId(switch.0);
 
         // §3.3 TCAM case: the table is full of per-flow rules, so the
@@ -1132,7 +1155,7 @@ impl ScotchApp {
             }
         }
         if buckets.is_empty() {
-            return out; // no overlay reachable from this switch
+            return; // no overlay reachable from this switch
         }
         let bucket_count = buckets.len() as u32;
         out.push(Command::new(
@@ -1151,14 +1174,12 @@ impl ScotchApp {
         // before tables or match higher-priority label rules).
         let mut labelled = Vec::new();
         for port in topo.ports(switch) {
-            let entry = FlowEntry::new(
+            let entry = FlowEntry::apply(
                 Match::on_port(port).with_top_label(None),
                 PORT_RULE_PRIORITY,
-                vec![
-                    Instruction::Apply(vec![Action::push_ingress(port)]),
-                    Instruction::GotoTable(TableId(1)),
-                ],
-            );
+                &[Action::push_ingress(port)],
+            )
+            .with_goto(TableId(1));
             out.push(Command::new(
                 switch,
                 ControllerToSwitch::FlowMod {
@@ -1177,7 +1198,7 @@ impl ScotchApp {
                 command: FlowModCommand::Add(FlowEntry::apply(
                     Match::ANY,
                     0,
-                    vec![Action::Group(gid)],
+                    &[Action::Group(gid)],
                 )),
             },
         ));
@@ -1204,10 +1225,9 @@ impl ScotchApp {
                 reason: RebalanceReason::Activation,
             },
         );
-        out
     }
 
-    fn withdraw(&mut self, now: SimTime, _topo: &Topology, switch: NodeId) -> Vec<Command> {
+    fn withdraw(&mut self, now: SimTime, switch: NodeId) {
         // Pin rules for flows *currently being routed* over the overlay
         // (§5.5 step 1): keep forwarding them to the overlay after the
         // default rule goes away. Liveness comes from the stats polls —
@@ -1235,14 +1255,12 @@ impl ScotchApp {
 
         let mut deferred = Vec::new();
         for (key, ingress) in pins {
-            let entry = FlowEntry::new(
+            let entry = FlowEntry::apply(
                 self.flow_matcher(&key),
                 PIN_RULE_PRIORITY,
-                vec![
-                    Instruction::Apply(vec![Action::push_ingress(ingress)]),
-                    Instruction::GotoTable(TableId(1)),
-                ],
+                &[Action::push_ingress(ingress)],
             )
+            .with_goto(TableId(1))
             .with_idle_timeout(self.config.rule_idle_timeout);
             deferred.push(Command::new(
                 switch,
@@ -1300,7 +1318,6 @@ impl ScotchApp {
                 pinned,
             },
         );
-        Vec::new()
     }
 
     // ------------------------------------------------------------------
@@ -1308,11 +1325,11 @@ impl ScotchApp {
     // ------------------------------------------------------------------
 
     /// One controller tick: serve schedulers, check activation /
-    /// withdrawal, handle vSwitch failures.
-    pub fn tick(&mut self, now: SimTime, topo: &Topology) -> Vec<Command> {
-        let mut out = Vec::new();
+    /// withdrawal, handle vSwitch failures. Appends the resulting commands
+    /// to `out` (a buffer the simulation reuses).
+    pub fn tick(&mut self, now: SimTime, topo: &Topology, out: &mut Vec<Command>) {
         if self.mode == ControllerMode::Baseline {
-            return out;
+            return;
         }
 
         // Failure handling first: dead vSwitches must leave the buckets
@@ -1343,7 +1360,7 @@ impl ScotchApp {
                         Some(_) => {
                             // Rebuild the whole group with the promoted
                             // backup's tunnel. Simplest correct GroupMod.
-                            out.extend(self.rebuild_group(now, topo, s, RebalanceReason::Failover));
+                            out.push(self.rebuild_group(now, topo, s, RebalanceReason::Failover));
                         }
                         None => {
                             out.push(Command::new(
@@ -1391,7 +1408,7 @@ impl ScotchApp {
                 && (rate > self.config.activation_threshold
                     || tcam_rate > self.config.tcam_activation_threshold)
             {
-                out.extend(self.activate(now, topo, *s));
+                self.activate(now, topo, *s, out);
             } else if active {
                 if rate < self.config.withdrawal_threshold {
                     match below_since {
@@ -1399,7 +1416,7 @@ impl ScotchApp {
                             self.switches.get_mut(s).unwrap().below_since = Some(now);
                         }
                         Some(t) if now.duration_since(t) >= self.config.withdrawal_hold => {
-                            out.extend(self.withdraw(now, topo, *s));
+                            self.withdraw(now, *s);
                         }
                         Some(_) => {}
                     }
@@ -1415,7 +1432,7 @@ impl ScotchApp {
             for item in work {
                 match item {
                     GrantedWork::Admitted(cmd) => out.push(cmd),
-                    GrantedWork::Migrate(job) => out.extend(self.serve_migration(now, topo, job)),
+                    GrantedWork::Migrate(job) => self.serve_migration(now, topo, job, out),
                     GrantedWork::Admit(pf) => {
                         // §3.3 TCAM case: while the switch keeps rejecting
                         // inserts with TableFull, physical admission is
@@ -1425,9 +1442,9 @@ impl ScotchApp {
                         if self.tcam_monitor.rate(pf.origin, now)
                             > self.config.tcam_activation_threshold
                         {
-                            out.extend(self.route_on_overlay(now, topo, pf));
+                            self.route_on_overlay(now, topo, pf, out);
                         } else {
-                            out.extend(self.admit_physical(now, topo, pf));
+                            self.admit_physical(now, topo, pf, out);
                         }
                     }
                 }
@@ -1436,7 +1453,6 @@ impl ScotchApp {
 
         self.detector.expire(now, SimDuration::from_secs(60));
         self.telemetry.expire(now, SimDuration::from_secs(60));
-        out
     }
 
     fn rebuild_group(
@@ -1445,7 +1461,7 @@ impl ScotchApp {
         topo: &Topology,
         switch: NodeId,
         reason: RebalanceReason,
-    ) -> Vec<Command> {
+    ) -> Command {
         // Rebuild LB tunnels for the new mesh membership, then re-install
         // the group.
         let mesh = self.overlay.mesh.clone();
@@ -1495,7 +1511,7 @@ impl ScotchApp {
                 reason,
             },
         );
-        vec![Command::new(
+        Command::new(
             switch,
             ControllerToSwitch::GroupMod {
                 group: GroupId(switch.0),
@@ -1504,7 +1520,7 @@ impl ScotchApp {
                     buckets,
                 )),
             },
-        )]
+        )
     }
 
     /// Elastic scale-out (§5.6): join a new vSwitch to the overlay mesh.
@@ -1525,9 +1541,9 @@ impl ScotchApp {
             // Rebuilding lays the switch's tunnel to the new vSwitch either
             // way; only active switches need the GroupMod sent now (an
             // inactive switch gets a fresh group at its next activation).
-            let cmds = self.rebuild_group(now, topo, s, RebalanceReason::Join);
+            let cmd = self.rebuild_group(now, topo, s, RebalanceReason::Join);
             if self.is_active(s) {
-                out.extend(cmds);
+                out.push(cmd);
             }
         }
         out
@@ -1569,9 +1585,9 @@ impl ScotchApp {
         now: SimTime,
         from: NodeId,
         stats: &[scotch_openflow::messages::FlowStat],
-    ) -> Vec<Command> {
+    ) {
         if !self.config.migration_enabled {
-            return Vec::new();
+            return;
         }
         // Aggregate the records into rate estimates (exact in exhaustive
         // mode; Horvitz–Thompson-scaled under sampling), then touch the
@@ -1604,7 +1620,6 @@ impl ScotchApp {
                 }
             }
         }
-        Vec::new()
     }
 
     /// Emit heartbeat probes to all live mesh vSwitches (§5.6). Registers
@@ -1638,6 +1653,23 @@ mod tests {
         ps: NodeId,
         mesh: Vec<NodeId>,
         server_ip: IpAddr,
+    }
+
+    impl Fixture {
+        /// Deliver one switch message; returns the commands it triggers.
+        fn handle(&mut self, now: SimTime, from: NodeId, msg: SwitchToController) -> Vec<Command> {
+            let mut out = Vec::new();
+            self.app
+                .handle_switch_msg(now, &self.topo, from, msg, &mut out);
+            out
+        }
+
+        /// Run one controller tick; returns the commands it emits.
+        fn tick(&mut self, now: SimTime) -> Vec<Command> {
+            let mut out = Vec::new();
+            self.app.tick(now, &self.topo, &mut out);
+            out
+        }
     }
 
     fn fixture(mode: ControllerMode) -> Fixture {
@@ -1692,12 +1724,7 @@ mod tests {
     #[test]
     fn baseline_mode_admits_immediately() {
         let mut f = fixture(ControllerMode::Baseline);
-        let cmds = f.app.handle_switch_msg(
-            SimTime::ZERO,
-            &f.topo,
-            f.ps,
-            packet_in(key(1, f.server_ip), 1),
-        );
+        let cmds = f.handle(SimTime::ZERO, f.ps, packet_in(key(1, f.server_ip), 1));
         // FlowMods along ps -> hostvsw + PacketOut.
         assert!(cmds.len() >= 2, "{cmds:?}");
         assert!(cmds
@@ -1709,16 +1736,11 @@ mod tests {
     #[test]
     fn scotch_mode_queues_until_tick() {
         let mut f = fixture(ControllerMode::Scotch);
-        let cmds = f.app.handle_switch_msg(
-            SimTime::ZERO,
-            &f.topo,
-            f.ps,
-            packet_in(key(1, f.server_ip), 1),
-        );
+        let cmds = f.handle(SimTime::ZERO, f.ps, packet_in(key(1, f.server_ip), 1));
         assert!(cmds.is_empty(), "queued, not admitted: {cmds:?}");
         assert_eq!(f.app.ingress_backlog(f.ps), 1);
         // Tick with budget grants admission.
-        let cmds = f.app.tick(SimTime::from_millis(100), &f.topo);
+        let cmds = f.tick(SimTime::from_millis(100));
         assert!(!cmds.is_empty());
         assert_eq!(f.app.stats().physical_admitted, 1);
         assert_eq!(f.app.ingress_backlog(f.ps), 0);
@@ -1731,7 +1753,7 @@ mod tests {
         for i in 0..200u64 {
             f.app.monitor.record(f.ps, SimTime::from_millis(i * 5));
         }
-        let cmds = f.app.tick(SimTime::from_secs(1), &f.topo);
+        let cmds = f.tick(SimTime::from_secs(1));
         assert!(f.app.is_active(f.ps));
         assert_eq!(f.app.stats().activations, 1);
         let group_mods = cmds
@@ -1761,8 +1783,7 @@ mod tests {
             via_tunnel: Some(tunnel),
             ingress_label: Some(3),
         };
-        f.app
-            .handle_switch_msg(SimTime::from_millis(1), &f.topo, v, msg);
+        f.handle(SimTime::from_millis(1), v, msg);
         // Attributed to ps (not the vSwitch), on the labelled port.
         assert!(f.app.monitor.rate(f.ps, SimTime::from_millis(2)) > 0.0);
         assert_eq!(f.app.ingress_backlog(f.ps), 1);
@@ -1777,12 +1798,9 @@ mod tests {
     fn duplicate_packet_in_is_relayed_to_destination_edge() {
         let mut f = fixture(ControllerMode::Scotch);
         let k = key(2, f.server_ip);
-        f.app
-            .handle_switch_msg(SimTime::ZERO, &f.topo, f.ps, packet_in(k, 1));
+        f.handle(SimTime::ZERO, f.ps, packet_in(k, 1));
         // Same flow again while pending.
-        let cmds = f
-            .app
-            .handle_switch_msg(SimTime::from_millis(1), &f.topo, f.ps, packet_in(k, 1));
+        let cmds = f.handle(SimTime::from_millis(1), f.ps, packet_in(k, 1));
         assert_eq!(f.app.stats().duplicate_packet_ins, 1);
         assert_eq!(cmds.len(), 1);
         assert!(matches!(cmds[0].msg, ControllerToSwitch::PacketOut { .. }));
@@ -1791,9 +1809,8 @@ mod tests {
     #[test]
     fn unroutable_destination_counts() {
         let mut f = fixture(ControllerMode::Baseline);
-        let cmds = f.app.handle_switch_msg(
+        let cmds = f.handle(
             SimTime::ZERO,
-            &f.topo,
             f.ps,
             packet_in(key(1, IpAddr::new(99, 9, 9, 9)), 1),
         );
@@ -1815,13 +1832,12 @@ mod tests {
                 .monitor
                 .record(f.ps, SimTime::from_millis(900 + i.min(5)));
         }
-        f.app.tick(SimTime::from_secs(1), &f.topo);
+        f.tick(SimTime::from_secs(1));
         assert!(f.app.is_active(f.ps));
         // mesh0 keeps answering heartbeats; mesh1 goes silent.
         for sec in 1..=4u64 {
-            f.app.handle_switch_msg(
+            f.handle(
                 SimTime::from_secs(sec),
-                &f.topo,
                 f.mesh[0],
                 SwitchToController::EchoReply { nonce: sec },
             );
@@ -1831,7 +1847,7 @@ mod tests {
             f.app.monitor.record(f.ps, SimTime::from_millis(4400 + i));
         }
         // mesh1 is now well past the miss limit.
-        let cmds = f.app.tick(SimTime::from_millis(4600), &f.topo);
+        let cmds = f.tick(SimTime::from_millis(4600));
         assert!(f.app.stats().failovers >= 1);
         assert!(
             cmds.iter().any(|c| matches!(
@@ -1874,17 +1890,15 @@ mod tests {
     #[test]
     fn error_messages_count_rule_failures() {
         let mut f = fixture(ControllerMode::Scotch);
-        f.app.handle_switch_msg(
+        f.handle(
             SimTime::ZERO,
-            &f.topo,
             f.ps,
             SwitchToController::Error {
                 kind: OfError::FlowModOverload,
             },
         );
-        f.app.handle_switch_msg(
+        f.handle(
             SimTime::ZERO,
-            &f.topo,
             f.ps,
             SwitchToController::Error {
                 kind: OfError::TableFull,
@@ -1902,7 +1916,7 @@ mod tests {
                 .monitor
                 .record(f.ps, SimTime::from_millis(900 + i.min(5)));
         }
-        f.app.tick(SimTime::from_secs(1), &f.topo);
+        f.tick(SimTime::from_secs(1));
         assert!(f.app.is_active(f.ps));
         // One overlay flow, kept alive via stats-poll touches.
         let k = key(77, f.server_ip);
@@ -1914,8 +1928,7 @@ mod tests {
             via_tunnel: Some(tunnel),
             ingress_label: Some(2),
         };
-        f.app
-            .handle_switch_msg(SimTime::from_millis(1100), &f.topo, f.mesh[0], msg);
+        f.handle(SimTime::from_millis(1100), f.mesh[0], msg);
         // Force it onto the overlay via the scheduler path: shed directly.
         // (Simpler: mark it in flowdb as an overlay flow.)
         f.app.flowdb.record(
@@ -1930,12 +1943,12 @@ mod tests {
         // Silence: rate decays below the withdrawal threshold; hold for 2s.
         let mut cmds = Vec::new();
         for t in [9_000u64, 9_010, 11_020, 11_030] {
-            cmds.extend(f.app.tick(SimTime::from_millis(t), &f.topo));
+            cmds.extend(f.tick(SimTime::from_millis(t)));
         }
         assert!(!f.app.is_active(f.ps));
         assert_eq!(f.app.stats().withdrawals, 1);
         // Pins + deletions ride the admitted queue: service a later tick.
-        let cmds2 = f.app.tick(SimTime::from_millis(12_000), &f.topo);
+        let cmds2 = f.tick(SimTime::from_millis(12_000));
         let all: Vec<&Command> = cmds.iter().chain(cmds2.iter()).collect();
         let pins = all
             .iter()
@@ -1996,7 +2009,7 @@ mod tests {
                 .monitor
                 .record(f.ps, SimTime::from_millis(900 + i.min(5)));
         }
-        f.app.tick(SimTime::from_secs(1), &f.topo);
+        f.tick(SimTime::from_secs(1));
         assert!(f.app.is_active(f.ps));
         let k = key(78, f.server_ip);
         f.app.flowdb.record(
@@ -2011,10 +2024,10 @@ mod tests {
         f.app.flowdb.touch(&k, SimTime::from_secs(10));
         let mut cmds = Vec::new();
         for t in [48_000u64, 48_010, 50_020, 50_030] {
-            cmds.extend(f.app.tick(SimTime::from_millis(t), &f.topo));
+            cmds.extend(f.tick(SimTime::from_millis(t)));
         }
         assert_eq!(f.app.stats().withdrawals, 1);
-        cmds.extend(f.app.tick(SimTime::from_millis(51_000), &f.topo));
+        cmds.extend(f.tick(SimTime::from_millis(51_000)));
         cmds.iter()
             .filter(|c| {
                 matches!(
@@ -2047,7 +2060,7 @@ mod tests {
     #[test]
     fn baseline_tick_is_inert() {
         let mut f = fixture(ControllerMode::Baseline);
-        assert!(f.app.tick(SimTime::from_secs(1), &f.topo).is_empty());
+        assert!(f.tick(SimTime::from_secs(1)).is_empty());
         assert!(f.app.heartbeat(SimTime::from_secs(1)).is_empty());
     }
 }

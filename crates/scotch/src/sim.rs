@@ -460,6 +460,53 @@ fn chaos_stream(streams: &mut FxHashMap<u32, SimRng>, seed: u64, origin: u32) ->
         .or_insert_with(|| SimRng::new(seed ^ (origin as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
+/// A free list of message boxes. Control events carry their message boxed
+/// (see [`Event::CtrlFromSwitch`]); recycling the box of each delivered
+/// message means steady-state control traffic allocates nothing. Each
+/// shard lane keeps its own pools; a lane that mostly receives one
+/// direction stops keeping boxes at [`BoxPool::CAP`].
+struct BoxPool<T> {
+    free: Vec<Box<T>>,
+}
+
+impl<T> Default for BoxPool<T> {
+    fn default() -> Self {
+        BoxPool { free: Vec::new() }
+    }
+}
+
+impl<T> BoxPool<T> {
+    /// Most boxes kept for reuse; about the number of messages in flight
+    /// at once (rate × control latency) with ample margin.
+    const CAP: usize = 1024;
+
+    /// Box `msg`, reusing a recycled allocation when one is free.
+    fn boxed(&mut self, msg: T) -> Box<T> {
+        match self.free.pop() {
+            Some(mut b) => {
+                *b = msg;
+                b
+            }
+            None => Box::new(msg),
+        }
+    }
+
+    /// Move the message out of a delivered box, leaving the cheap `vacant`
+    /// value in it, and keep the box for reuse.
+    fn unboxed(&mut self, mut b: Box<T>, vacant: T) -> T {
+        let msg = std::mem::replace(&mut *b, vacant);
+        if self.free.len() < Self::CAP {
+            self.free.push(b);
+        }
+        msg
+    }
+}
+
+/// Placeholders left in a recycled box once its message is moved out:
+/// heap-free variants, so the swap costs a few stores.
+const VACANT_TO_SWITCH: ControllerToSwitch = ControllerToSwitch::FlowStatsRequest;
+const VACANT_FROM_SWITCH: SwitchToController = SwitchToController::EchoReply { nonce: 0 };
+
 /// The simulation.
 pub struct Simulation {
     /// The network graph (public for inspection in tests/benches).
@@ -494,8 +541,16 @@ pub struct Simulation {
     pub(crate) latency: Histogram,
     pub(crate) misrouted: u64,
     /// Reusable device-output buffer: one allocation for the whole run
-    /// instead of one `Vec<Output>` per packet event.
+    /// instead of one `Vec<Output>` per packet or control event.
     out_buf: Vec<Output>,
+    /// Reusable controller-command buffer: the controller appends to it
+    /// and `dispatch_commands` drains it, so a Packet-In allocates no
+    /// command list.
+    cmd_buf: Vec<Command>,
+    /// Recycled control-message boxes (see [`BoxPool`]): a delivered
+    /// message's box carries the next message of the same direction.
+    to_switch_boxes: BoxPool<ControllerToSwitch>,
+    from_switch_boxes: BoxPool<SwitchToController>,
     pub(crate) sweep_interval: SimDuration,
     /// Unified metrics registry: periodic series are sampled during the
     /// run, everything else is populated from the stats structs at report
@@ -570,6 +625,9 @@ impl Simulation {
             latency: Histogram::new(),
             misrouted: 0,
             out_buf: Vec::new(),
+            cmd_buf: Vec::new(),
+            to_switch_boxes: BoxPool::default(),
+            from_switch_boxes: BoxPool::default(),
             sweep_interval: SimDuration::from_secs(1),
             registry: MetricsRegistry::new(),
             profiler: None,
@@ -1021,8 +1079,7 @@ impl Simulation {
                 if let Some(c) = self.app.cluster.as_mut() {
                     c.record_decision(h.to);
                 }
-                let cmds = self.app.handle_switch_msg(now, &self.topo, from, msg);
-                self.dispatch_commands(now, cmds);
+                self.controller_handle(now, from, msg);
             }
         }
     }
@@ -1051,13 +1108,9 @@ impl Simulation {
             ) {
                 self.chaos.flowmod_add_sent += 1;
             }
-            self.events.push(
-                SimTime::ZERO,
-                Event::CtrlToSwitch {
-                    to: cmd.to,
-                    msg: Box::new(cmd.msg),
-                },
-            );
+            let msg = self.to_switch_boxes.boxed(cmd.msg);
+            self.events
+                .push(SimTime::ZERO, Event::CtrlToSwitch { to: cmd.to, msg });
         }
     }
 
@@ -1079,8 +1132,19 @@ impl Simulation {
         }
     }
 
-    pub(crate) fn dispatch_commands(&mut self, now: SimTime, commands: Vec<Command>) {
-        for cmd in commands {
+    /// Run the controller on one switch message and dispatch what it
+    /// emits, through the reused command buffer.
+    fn controller_handle(&mut self, now: SimTime, from: NodeId, msg: SwitchToController) {
+        let mut cmds = std::mem::take(&mut self.cmd_buf);
+        self.app
+            .handle_switch_msg(now, &self.topo, from, msg, &mut cmds);
+        self.dispatch_commands(now, &mut cmds);
+        self.cmd_buf = cmds;
+    }
+
+    /// Send every command in `commands` (leaving it empty for reuse).
+    pub(crate) fn dispatch_commands(&mut self, now: SimTime, commands: &mut Vec<Command>) {
+        for cmd in commands.drain(..) {
             let kind = ctrl_tx_kind(&cmd.msg);
             self.ctrl_tx[kind] += 1;
             let is_flowmod_add = matches!(
@@ -1161,7 +1225,8 @@ impl Simulation {
                     }
                 }
             }
-            self.push_ctrl_to(now, at, cmd.to, Box::new(cmd.msg));
+            let msg = self.to_switch_boxes.boxed(cmd.msg);
+            self.push_ctrl_to(now, at, cmd.to, msg);
         }
     }
 
@@ -1414,9 +1479,11 @@ impl Simulation {
                         }
                     }
                     if duplicate {
-                        self.push_ctrl_from(now, deliver, node, Box::new(msg.clone()));
+                        let copy = self.from_switch_boxes.boxed(msg.clone());
+                        self.push_ctrl_from(now, deliver, node, copy);
                     }
-                    self.push_ctrl_from(now, deliver, node, Box::new(msg));
+                    let msg = self.from_switch_boxes.boxed(msg);
+                    self.push_ctrl_from(now, deliver, node, msg);
                 }
                 Output::Dropped { reason, packet } => {
                     let code = match reason {
@@ -1796,7 +1863,8 @@ impl Simulation {
                 // it to the new master in arrival order (I5).
                 if let Some(cluster) = self.app.cluster.as_mut() {
                     if cluster.master_view(from) == MasterView::Park {
-                        cluster.park(from, from, *msg);
+                        let msg = self.from_switch_boxes.unboxed(msg, VACANT_FROM_SWITCH);
+                        cluster.park(from, from, msg);
                         return;
                     }
                 }
@@ -1825,11 +1893,8 @@ impl Simulation {
                                 cluster.record_decision(m);
                             }
                         }
-                        let cmds = {
-                            let topo = &self.topo;
-                            self.app.handle_switch_msg(now, topo, from, *msg)
-                        };
-                        self.dispatch_commands(now, cmds);
+                        let msg = self.from_switch_boxes.unboxed(msg, VACANT_FROM_SWITCH);
+                        self.controller_handle(now, from, msg);
                     }
                 }
             }
@@ -1850,17 +1915,15 @@ impl Simulation {
                 if let Some(cluster) = self.app.cluster.as_mut() {
                     match cluster.master_view(from) {
                         MasterView::Park => {
-                            cluster.park(from, from, *msg);
+                            let msg = self.from_switch_boxes.unboxed(msg, VACANT_FROM_SWITCH);
+                            cluster.park(from, from, msg);
                             return;
                         }
                         MasterView::Master(m) => cluster.record_decision(m),
                     }
                 }
-                let cmds = {
-                    let topo = &self.topo;
-                    self.app.handle_switch_msg(now, topo, from, *msg)
-                };
-                self.dispatch_commands(now, cmds);
+                let msg = self.from_switch_boxes.unboxed(msg, VACANT_FROM_SWITCH);
+                self.controller_handle(now, from, msg);
             }
             Event::CtrlToSwitch { to, msg } => {
                 if self.profiler.is_some() && ctrl_tx_kind(&msg) == 0 {
@@ -1887,41 +1950,41 @@ impl Simulation {
                         }
                     }
                 }
-                let mut outputs = if let Some(sw) = self.physical.get_mut(to) {
-                    sw.handle_controller_msg(now, *msg)
+                let msg = self.to_switch_boxes.unboxed(msg, VACANT_TO_SWITCH);
+                let mut buf = std::mem::take(&mut self.out_buf);
+                if let Some(sw) = self.physical.get_mut(to) {
+                    sw.handle_controller_msg(now, msg, &mut buf);
                 } else if let Some(vs) = self.vswitches.get_mut(to) {
-                    vs.handle_controller_msg(now, *msg)
-                } else {
-                    Vec::new()
-                };
-                self.handle_outputs(now, to, &mut outputs);
+                    vs.handle_controller_msg(now, msg, &mut buf);
+                }
+                self.handle_outputs(now, to, &mut buf);
+                self.out_buf = buf;
             }
             Event::ControllerTick => {
                 // During a controller stall the periodic work is skipped
                 // but the timer keeps re-arming, so the cadence resumes
                 // as soon as the stall window ends.
                 if now >= self.chaos.stall_until {
-                    let cmds = {
-                        let topo = &self.topo;
-                        self.app.tick(now, topo)
-                    };
-                    self.dispatch_commands(now, cmds);
+                    let mut cmds = std::mem::take(&mut self.cmd_buf);
+                    self.app.tick(now, &self.topo, &mut cmds);
+                    self.dispatch_commands(now, &mut cmds);
+                    self.cmd_buf = cmds;
                 }
                 self.events
                     .push(now + self.app.config.tick_interval, Event::ControllerTick);
             }
             Event::StatsPoll => {
                 if now >= self.chaos.stall_until {
-                    let cmds = self.app.poll_stats();
-                    self.dispatch_commands(now, cmds);
+                    let mut cmds = self.app.poll_stats();
+                    self.dispatch_commands(now, &mut cmds);
                 }
                 self.events
                     .push(now + self.app.config.stats_poll_interval, Event::StatsPoll);
             }
             Event::Heartbeat => {
                 if now >= self.chaos.stall_until {
-                    let cmds = self.app.heartbeat(now);
-                    self.dispatch_commands(now, cmds);
+                    let mut cmds = self.app.heartbeat(now);
+                    self.dispatch_commands(now, &mut cmds);
                 }
                 self.events
                     .push(now + self.app.config.heartbeat_period, Event::Heartbeat);
@@ -1985,11 +2048,8 @@ impl Simulation {
                 }
             }
             Event::JoinVSwitch { node } => {
-                let cmds = {
-                    let topo = &self.topo;
-                    self.app.join_vswitch(now, topo, node)
-                };
-                self.dispatch_commands(now, cmds);
+                let mut cmds = self.app.join_vswitch(now, &self.topo, node);
+                self.dispatch_commands(now, &mut cmds);
             }
             Event::RecoverVSwitch { node } => {
                 if let Some(vs) = self.vswitches.get_mut(node) {

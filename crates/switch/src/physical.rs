@@ -272,31 +272,35 @@ impl PhysicalSwitch {
         }
     }
 
-    /// Process a controller message arriving over the control channel.
-    pub fn handle_controller_msg(&mut self, now: SimTime, msg: ControllerToSwitch) -> Vec<Output> {
+    /// Process a controller message arriving over the control channel,
+    /// appending its effects to `out` (the simulation reuses one buffer:
+    /// no per-message allocation).
+    pub fn handle_controller_msg(
+        &mut self,
+        now: SimTime,
+        msg: ControllerToSwitch,
+        out: &mut Vec<Output>,
+    ) {
         match msg {
             ControllerToSwitch::FlowMod { table, command } => {
-                self.handle_flow_mod(now, table, command)
+                self.handle_flow_mod(now, table, command, out)
             }
-            ControllerToSwitch::GroupMod { group, command } => {
-                match command {
-                    GroupModCommand::Install(entry) => self.groups.install(group, entry),
-                    GroupModCommand::Remove => {
-                        self.groups.remove(group);
-                    }
-                    GroupModCommand::SetBucketAlive { bucket, alive } => {
-                        if let Some(g) = self.groups.get_mut(group) {
-                            if let Some(b) = g.buckets.get_mut(bucket) {
-                                b.alive = alive;
-                            }
+            ControllerToSwitch::GroupMod { group, command } => match command {
+                GroupModCommand::Install(entry) => self.groups.install(group, entry),
+                GroupModCommand::Remove => {
+                    self.groups.remove(group);
+                }
+                GroupModCommand::SetBucketAlive { bucket, alive } => {
+                    if let Some(g) = self.groups.get_mut(group) {
+                        if let Some(b) = g.buckets.get_mut(bucket) {
+                            b.alive = alive;
                         }
                     }
                 }
-                Vec::new()
-            }
+            },
             ControllerToSwitch::PacketOut { packet, out_port } => {
                 self.stats.forwarded += 1;
-                vec![Output::Forward { out_port, packet }]
+                out.push(Output::Forward { out_port, packet });
             }
             ControllerToSwitch::FlowStatsRequest => {
                 let mut stats = Vec::new();
@@ -313,19 +317,19 @@ impl PhysicalSwitch {
                         });
                     }
                 }
-                vec![Output::ToController {
+                out.push(Output::ToController {
                     at: now + SimDuration::from_millis(1),
                     msg: SwitchToController::FlowStatsReply { stats },
-                }]
+                });
             }
-            ControllerToSwitch::EchoRequest { nonce } => vec![Output::ToController {
+            ControllerToSwitch::EchoRequest { nonce } => out.push(Output::ToController {
                 at: now + SimDuration::from_micros(500),
                 msg: SwitchToController::EchoReply { nonce },
-            }],
-            ControllerToSwitch::Barrier { xid } => vec![Output::ToController {
+            }),
+            ControllerToSwitch::Barrier { xid } => out.push(Output::ToController {
                 at: now + SimDuration::from_millis(1),
                 msg: SwitchToController::BarrierReply { xid },
-            }],
+            }),
         }
     }
 
@@ -334,38 +338,30 @@ impl PhysicalSwitch {
         now: SimTime,
         table: TableId,
         command: FlowModCommand,
-    ) -> Vec<Output> {
+        out: &mut Vec<Output>,
+    ) {
+        let error = |kind| Output::ToController {
+            at: now + SimDuration::from_millis(1),
+            msg: SwitchToController::Error { kind },
+        };
         match command {
             FlowModCommand::Add(entry) => {
                 let Some(at) = self.ofa.offer_rule_insert(now) else {
-                    return vec![Output::ToController {
-                        at: now + SimDuration::from_millis(1),
-                        msg: SwitchToController::Error {
-                            kind: OfError::FlowModOverload,
-                        },
-                    }];
+                    out.push(error(OfError::FlowModOverload));
+                    return;
                 };
-                match self.pipeline.table_mut(table).insert(at, entry) {
-                    Ok(()) => Vec::new(),
-                    Err(_) => vec![Output::ToController {
-                        at: now + SimDuration::from_millis(1),
-                        msg: SwitchToController::Error {
-                            kind: OfError::TableFull,
-                        },
-                    }],
+                if self.pipeline.table_mut(table).insert(at, entry).is_err() {
+                    out.push(error(OfError::TableFull));
                 }
             }
             FlowModCommand::DeleteByCookie(cookie) => {
                 self.pipeline.table_mut(table).remove_by_cookie(cookie);
-                Vec::new()
             }
             FlowModCommand::DeleteExact(matcher) => {
                 self.pipeline.table_mut(table).remove_exact(&matcher);
-                Vec::new()
             }
             FlowModCommand::DeleteAll => {
                 self.pipeline.table_mut(table).clear();
-                Vec::new()
             }
         }
     }
@@ -411,8 +407,16 @@ mod tests {
         )
     }
 
+    /// Deliver one controller message; returns the switch's outputs.
+    fn ctrl(sw: &mut PhysicalSwitch, now: SimTime, msg: ControllerToSwitch) -> Vec<Output> {
+        let mut out = Vec::new();
+        sw.handle_controller_msg(now, msg, &mut out);
+        out
+    }
+
     fn add_rule(sw: &mut PhysicalSwitch, entry: FlowEntry) {
-        let outs = sw.handle_controller_msg(
+        let outs = ctrl(
+            sw,
             SimTime::ZERO,
             ControllerToSwitch::FlowMod {
                 table: TableId(0),
@@ -441,11 +445,7 @@ mod tests {
         let mut s = sw();
         add_rule(
             &mut s,
-            FlowEntry::apply(
-                Match::exact(pkt(1).key),
-                10,
-                vec![Action::Output(PortId(2))],
-            ),
+            FlowEntry::apply(Match::exact(pkt(1).key), 10, &[Action::Output(PortId(2))]),
         );
         let outs = s.handle_packet(SimTime::from_millis(10), PortId(0), pkt(1));
         match &outs[0] {
@@ -482,14 +482,15 @@ mod tests {
         // Blast inserts at effectively infinite rate until one fails.
         let mut failures = 0;
         for i in 0..2000u16 {
-            let outs = s.handle_controller_msg(
+            let outs = ctrl(
+                &mut s,
                 SimTime::ZERO,
                 ControllerToSwitch::FlowMod {
                     table: TableId(0),
                     command: FlowModCommand::Add(FlowEntry::apply(
                         Match::exact(pkt(i).key),
                         1,
-                        vec![],
+                        &[],
                     )),
                 },
             );
@@ -513,14 +514,15 @@ mod tests {
         let mut s = PhysicalSwitch::new(NodeId(0), profile, SimRng::new(1));
         let mut saw_full = false;
         for i in 0..3u16 {
-            let outs = s.handle_controller_msg(
+            let outs = ctrl(
+                &mut s,
                 SimTime::from_secs(i as u64),
                 ControllerToSwitch::FlowMod {
                     table: TableId(0),
                     command: FlowModCommand::Add(FlowEntry::apply(
                         Match::exact(pkt(i).key),
                         1,
-                        vec![],
+                        &[],
                     )),
                 },
             );
@@ -542,7 +544,8 @@ mod tests {
     fn group_action_load_balances() {
         use scotch_openflow::{Bucket, GroupEntry, GroupId, SelectionPolicy};
         let mut s = sw();
-        s.handle_controller_msg(
+        ctrl(
+            &mut s,
             SimTime::ZERO,
             ControllerToSwitch::GroupMod {
                 group: GroupId(1),
@@ -557,7 +560,7 @@ mod tests {
         );
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::ANY, 1, vec![Action::Group(GroupId(1))]),
+            FlowEntry::apply(Match::ANY, 1, &[Action::Group(GroupId(1))]),
         );
         let mut ports = std::collections::HashSet::new();
         for i in 0..64u16 {
@@ -573,7 +576,8 @@ mod tests {
     #[test]
     fn packet_out_forwards_without_table() {
         let mut s = sw();
-        let outs = s.handle_controller_msg(
+        let outs = ctrl(
+            &mut s,
             SimTime::ZERO,
             ControllerToSwitch::PacketOut {
                 packet: pkt(1),
@@ -594,11 +598,12 @@ mod tests {
         let mut s = sw();
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::exact(pkt(1).key), 5, vec![Action::Output(PortId(1))])
+            FlowEntry::apply(Match::exact(pkt(1).key), 5, &[Action::Output(PortId(1))])
                 .with_cookie(42),
         );
         s.handle_packet(SimTime::from_millis(5), PortId(0), pkt(1).with_size(500));
-        let outs = s.handle_controller_msg(
+        let outs = ctrl(
+            &mut s,
             SimTime::from_millis(10),
             ControllerToSwitch::FlowStatsRequest,
         );
@@ -618,8 +623,11 @@ mod tests {
     #[test]
     fn echo_and_barrier_reply() {
         let mut s = sw();
-        let outs =
-            s.handle_controller_msg(SimTime::ZERO, ControllerToSwitch::EchoRequest { nonce: 9 });
+        let outs = ctrl(
+            &mut s,
+            SimTime::ZERO,
+            ControllerToSwitch::EchoRequest { nonce: 9 },
+        );
         assert!(matches!(
             outs[0],
             Output::ToController {
@@ -627,7 +635,11 @@ mod tests {
                 ..
             }
         ));
-        let outs = s.handle_controller_msg(SimTime::ZERO, ControllerToSwitch::Barrier { xid: 3 });
+        let outs = ctrl(
+            &mut s,
+            SimTime::ZERO,
+            ControllerToSwitch::Barrier { xid: 3 },
+        );
         assert!(matches!(
             outs[0],
             Output::ToController {
@@ -643,7 +655,7 @@ mod tests {
         let mut s = sw();
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::exact(pkt(1).key), 5, vec![])
+            FlowEntry::apply(Match::exact(pkt(1).key), 5, &[])
                 .with_hard_timeout(SimDuration::from_secs(10))
                 .with_cookie(7),
         );
@@ -664,7 +676,7 @@ mod tests {
         // Pre-install a forwarding rule so data packets hit the fast path.
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::ANY, 1, vec![Action::Output(PortId(1))]),
+            FlowEntry::apply(Match::ANY, 1, &[Action::Output(PortId(1))]),
         );
         // Warm up: 1000 pps data, no insertion load -> no loss.
         let mut lost_before = 0;
@@ -690,14 +702,15 @@ mod tests {
         let t0 = 2_000_000_000u64;
         for i in 0..8000u64 {
             let now = SimTime::from_nanos(t0 + i * 500_000); // 2000/s inserts
-            s.handle_controller_msg(
+            ctrl(
+                &mut s,
                 now,
                 ControllerToSwitch::FlowMod {
                     table: TableId(1),
                     command: FlowModCommand::Add(FlowEntry::apply(
                         Match::exact(pkt((i % 60000) as u16).key),
                         2,
-                        vec![],
+                        &[],
                     )),
                 },
             );

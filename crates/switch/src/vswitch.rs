@@ -244,11 +244,7 @@ impl VSwitch {
                         entry.sampled_bytes += packet.size as u64;
                     }
                 }
-                for inst in &entry.instructions {
-                    if let scotch_openflow::Instruction::Apply(a) = inst {
-                        actions.extend_from_slice(a);
-                    }
-                }
+                actions.extend_from_slice(&entry.apply);
                 true
             }
             None => false,
@@ -351,66 +347,60 @@ impl VSwitch {
         }
     }
 
-    /// Process a controller message. A failed vSwitch is silent (heartbeat
-    /// detection relies on this, §5.6).
-    pub fn handle_controller_msg(&mut self, now: SimTime, msg: ControllerToSwitch) -> Vec<Output> {
+    /// Process a controller message, appending its effects to `out` (the
+    /// simulation reuses one buffer: no per-message allocation). A failed
+    /// vSwitch is silent (heartbeat detection relies on this, §5.6).
+    pub fn handle_controller_msg(
+        &mut self,
+        now: SimTime,
+        msg: ControllerToSwitch,
+        out: &mut Vec<Output>,
+    ) {
         if self.failed {
             self.stats.ctrl_absorbed += 1;
-            return Vec::new();
+            return;
         }
+        let error = |kind| Output::ToController {
+            at: now + SimDuration::from_millis(1),
+            msg: SwitchToController::Error { kind },
+        };
         match msg {
             ControllerToSwitch::FlowMod { command, .. } => match command {
                 FlowModCommand::Add(entry) => {
                     let Some(at) = self.ofa.offer_rule_insert(now) else {
-                        return vec![Output::ToController {
-                            at: now + SimDuration::from_millis(1),
-                            msg: SwitchToController::Error {
-                                kind: OfError::FlowModOverload,
-                            },
-                        }];
+                        out.push(error(OfError::FlowModOverload));
+                        return;
                     };
-                    match self.table.insert(at, entry) {
-                        Ok(()) => Vec::new(),
-                        Err(_) => vec![Output::ToController {
-                            at: now + SimDuration::from_millis(1),
-                            msg: SwitchToController::Error {
-                                kind: OfError::TableFull,
-                            },
-                        }],
+                    if self.table.insert(at, entry).is_err() {
+                        out.push(error(OfError::TableFull));
                     }
                 }
                 FlowModCommand::DeleteByCookie(c) => {
                     self.table.remove_by_cookie(c);
-                    Vec::new()
                 }
                 FlowModCommand::DeleteExact(m) => {
                     self.table.remove_exact(&m);
-                    Vec::new()
                 }
                 FlowModCommand::DeleteAll => {
                     self.table.clear();
-                    Vec::new()
                 }
             },
-            ControllerToSwitch::GroupMod { group, command } => {
-                match command {
-                    GroupModCommand::Install(entry) => self.groups.install(group, entry),
-                    GroupModCommand::Remove => {
-                        self.groups.remove(group);
-                    }
-                    GroupModCommand::SetBucketAlive { bucket, alive } => {
-                        if let Some(g) = self.groups.get_mut(group) {
-                            if let Some(b) = g.buckets.get_mut(bucket) {
-                                b.alive = alive;
-                            }
+            ControllerToSwitch::GroupMod { group, command } => match command {
+                GroupModCommand::Install(entry) => self.groups.install(group, entry),
+                GroupModCommand::Remove => {
+                    self.groups.remove(group);
+                }
+                GroupModCommand::SetBucketAlive { bucket, alive } => {
+                    if let Some(g) = self.groups.get_mut(group) {
+                        if let Some(b) = g.buckets.get_mut(bucket) {
+                            b.alive = alive;
                         }
                     }
                 }
-                Vec::new()
-            }
+            },
             ControllerToSwitch::PacketOut { packet, out_port } => {
                 self.stats.forwarded += 1;
-                vec![Output::Forward { out_port, packet }]
+                out.push(Output::Forward { out_port, packet });
             }
             ControllerToSwitch::FlowStatsRequest => {
                 let stats: Vec<FlowStat> = match &self.sampler {
@@ -460,19 +450,19 @@ impl VSwitch {
                             .collect()
                     }
                 };
-                vec![Output::ToController {
+                out.push(Output::ToController {
                     at: now + SimDuration::from_micros(500),
                     msg: SwitchToController::FlowStatsReply { stats },
-                }]
+                });
             }
-            ControllerToSwitch::EchoRequest { nonce } => vec![Output::ToController {
+            ControllerToSwitch::EchoRequest { nonce } => out.push(Output::ToController {
                 at: now + SimDuration::from_micros(200),
                 msg: SwitchToController::EchoReply { nonce },
-            }],
-            ControllerToSwitch::Barrier { xid } => vec![Output::ToController {
+            }),
+            ControllerToSwitch::Barrier { xid } => out.push(Output::ToController {
                 at: now + SimDuration::from_micros(500),
                 msg: SwitchToController::BarrierReply { xid },
-            }],
+            }),
         }
     }
 
@@ -511,6 +501,13 @@ mod tests {
             FlowId(sport as u64),
             SimTime::ZERO,
         )
+    }
+
+    /// Deliver one controller message; returns the switch's outputs.
+    fn ctrl(sw: &mut VSwitch, now: SimTime, msg: ControllerToSwitch) -> Vec<Output> {
+        let mut out = Vec::new();
+        sw.handle_controller_msg(now, msg, &mut out);
+        out
     }
 
     #[test]
@@ -564,14 +561,15 @@ mod tests {
     #[test]
     fn installed_rule_forwards_into_next_tunnel() {
         let mut v = vs();
-        v.handle_controller_msg(
+        ctrl(
+            &mut v,
             SimTime::ZERO,
             ControllerToSwitch::FlowMod {
                 table: TableId(0),
                 command: FlowModCommand::Add(FlowEntry::apply(
                     Match::exact(pkt(1).key),
                     10,
-                    vec![Action::push_tunnel(TunnelId(2)), Action::Output(PortId(1))],
+                    &[Action::push_tunnel(TunnelId(2)), Action::Output(PortId(1))],
                 )),
             },
         );
@@ -627,9 +625,12 @@ mod tests {
     fn failed_vswitch_is_silent() {
         let mut v = vs();
         v.failed = true;
-        assert!(v
-            .handle_controller_msg(SimTime::ZERO, ControllerToSwitch::EchoRequest { nonce: 1 })
-            .is_empty());
+        assert!(ctrl(
+            &mut v,
+            SimTime::ZERO,
+            ControllerToSwitch::EchoRequest { nonce: 1 }
+        )
+        .is_empty());
         let outs = v.handle_packet(SimTime::ZERO, PortId(0), pkt(1), false);
         assert!(matches!(outs[0], Output::Dropped { .. }));
     }
@@ -637,17 +638,21 @@ mod tests {
     #[test]
     fn stats_reply_covers_table() {
         let mut v = vs();
-        v.handle_controller_msg(
+        ctrl(
+            &mut v,
             SimTime::ZERO,
             ControllerToSwitch::FlowMod {
                 table: TableId(0),
                 command: FlowModCommand::Add(
-                    FlowEntry::apply(Match::exact(pkt(1).key), 1, vec![]).with_cookie(5),
+                    FlowEntry::apply(Match::exact(pkt(1).key), 1, &[]).with_cookie(5),
                 ),
             },
         );
-        let outs =
-            v.handle_controller_msg(SimTime::from_secs(1), ControllerToSwitch::FlowStatsRequest);
+        let outs = ctrl(
+            &mut v,
+            SimTime::from_secs(1),
+            ControllerToSwitch::FlowStatsRequest,
+        );
         match &outs[0] {
             Output::ToController {
                 msg: SwitchToController::FlowStatsReply { stats },
@@ -658,7 +663,8 @@ mod tests {
     }
 
     fn install(v: &mut VSwitch, sport: u16, cookie: u64) {
-        v.handle_controller_msg(
+        ctrl(
+            v,
             SimTime::ZERO,
             ControllerToSwitch::FlowMod {
                 table: TableId(0),
@@ -666,7 +672,7 @@ mod tests {
                     FlowEntry::apply(
                         Match::exact(pkt(sport).key),
                         10,
-                        vec![Action::Output(PortId(1))],
+                        &[Action::Output(PortId(1))],
                     )
                     .with_cookie(cookie),
                 ),
@@ -675,7 +681,7 @@ mod tests {
     }
 
     fn stats_reply(v: &mut VSwitch, now: SimTime) -> Vec<FlowStat> {
-        let outs = v.handle_controller_msg(now, ControllerToSwitch::FlowStatsRequest);
+        let outs = ctrl(v, now, ControllerToSwitch::FlowStatsRequest);
         match outs.into_iter().next() {
             Some(Output::ToController {
                 msg: SwitchToController::FlowStatsReply { stats },
