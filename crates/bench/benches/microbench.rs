@@ -12,7 +12,7 @@ use scotch_openflow::{
     Action, Bucket, FlowEntry, GroupEntry, Match, Pipeline, SelectionPolicy, TableId,
 };
 use scotch_sim::rate::FifoServer;
-use scotch_sim::{EventQueue, SimRng, SimTime};
+use scotch_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -103,18 +103,27 @@ fn bench_flow_hash(filter: &Option<String>) {
     bench(filter, "flowkey_hash64", || black_box(&k).hash64());
 }
 
+/// The engine's access pattern (the hold model): with `pending` events
+/// queued, each iteration pops the earliest and pushes one a random delay
+/// later. The 72-byte payload matches the simulator's event size. 64 pending
+/// is the engine's operating point; 32768 shows the other side of the
+/// heap-versus-wheel crossover (DESIGN.md §9).
 fn bench_event_queue(filter: &Option<String>) {
-    bench(filter, "event_queue_push_pop_1k", || {
+    for pending in [64u64, 32_768] {
+        let mut rng = SimRng::new(7);
         let mut q = EventQueue::new();
-        for i in 0..1000u64 {
-            q.push(SimTime::from_nanos((i * 7919) % 10_000), i);
+        for i in 0..pending {
+            q.push(SimTime::from_nanos(rng.range_u64(0, 1_000_000)), [i; 9]);
         }
-        let mut sum = 0u64;
-        while let Some((_, v)) = q.pop() {
-            sum += v;
-        }
-        black_box(sum)
-    });
+        bench(filter, &format!("event_queue_hold/{pending}"), || {
+            let (at, payload) = q.pop().unwrap();
+            q.push(
+                at + SimDuration::from_nanos(rng.range_u64(1, 1_000_000)),
+                payload,
+            );
+            at
+        });
+    }
 }
 
 fn bench_fifo_server(filter: &Option<String>) {

@@ -22,7 +22,7 @@
 //!   order — independent of hash-map iteration order.
 //! * The state machine itself never reads a clock; the composition root
 //!   (the `scotch` crate's simulation) drives every transition through its
-//!   timing wheel, so `(scenario, seed, plan)` replays bit-identically.
+//!   event queue, so `(scenario, seed, plan)` replays bit-identically.
 //!
 //! A cluster of size 1 is never constructed (the simulation keeps
 //! `Option<ClusterState>` = `None`), so the single-controller engine is

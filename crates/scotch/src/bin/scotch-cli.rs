@@ -338,11 +338,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 o.sampling_rate = Some(parse_sampling_rate(&next(&mut i)?)?);
             }
             "--seed" => o.seed = next(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--duration" => {
-                o.duration = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--duration: {e}"))?
-            }
+            "--duration" => o.duration = parse_duration(&next(&mut i)?)?,
             "--json" => o.json = true,
             "--shards" => {
                 o.shards = next(&mut i)?
@@ -415,6 +411,21 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         return Err("--failover requires --controllers >= 2".into());
     }
     Ok(o)
+}
+
+/// Parse and range-check a `--duration` value in simulated seconds (shared
+/// by every front end that takes one). It must be finite and round to at
+/// least 1 ns, and its nanosecond count must fit the `u64` clock: anything
+/// else would run an empty simulation or saturate the horizon and never end.
+fn parse_duration(text: &str) -> Result<f64, String> {
+    let secs: f64 = text.parse().map_err(|e| format!("--duration: {e}"))?;
+    let nanos = (secs * 1e9).round();
+    if !(nanos >= 1.0 && nanos < u64::MAX as f64) {
+        return Err(format!(
+            "--duration must be finite seconds, at least 1 ns and below 2^64 ns (~1.8e10 s), got {text}"
+        ));
+    }
+    Ok(secs)
 }
 
 /// Parse and range-check a `--sampling-rate` value (shared by the run,
@@ -1099,11 +1110,7 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
                     .parse()
                     .map_err(|e| format!("--seed-base: {e}"))?
             }
-            "--duration" => {
-                o.duration = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--duration: {e}"))?
-            }
+            "--duration" => o.duration = parse_duration(&next(&mut i)?)?,
             "--attack" => {
                 o.attack = next(&mut i)?
                     .parse()
@@ -2399,11 +2406,7 @@ fn parse_determinism_args(args: &[String]) -> Result<DeterminismOptions, String>
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?
             }
-            "--duration" => {
-                o.duration = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--duration: {e}"))?
-            }
+            "--duration" => o.duration = parse_duration(&next(&mut i)?)?,
             "--plan" => o.plan = Some(next(&mut i)?),
             "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown determinism option {other}")),
@@ -3352,6 +3355,22 @@ mod tests {
         assert!(parse_det("--shards 1").is_err());
         assert!(parse_det("--shards ,").is_err());
         assert!(parse_det("--bogus").is_err());
+    }
+
+    /// `--duration` goes through one checked parser on every front end:
+    /// values that would run an empty simulation or saturate the `u64`
+    /// nanosecond horizon are errors, never silent runs.
+    #[test]
+    fn bad_durations_are_rejected_by_every_parser() {
+        for bad in ["-1", "0", "nan", "inf", "-inf", "1e30", "1e-10", "ten"] {
+            let flag = format!("--duration {bad}");
+            assert!(parse(&flag).is_err(), "run --duration {bad}");
+            assert!(parse_sweep(&flag).is_err(), "sweep --duration {bad}");
+            assert!(parse_det(&flag).is_err(), "determinism --duration {bad}");
+        }
+        assert_eq!(parse_duration("1e-9"), Ok(1e-9));
+        assert_eq!(parse_duration("1.5e10"), Ok(1.5e10));
+        assert!(parse_duration("1.9e10").is_err());
     }
 
     #[test]

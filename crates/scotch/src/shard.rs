@@ -1,7 +1,7 @@
 //! Conservative sharded execution of a [`Simulation`].
 //!
 //! The topology is partitioned by region (rack) into per-shard *lanes* —
-//! each lane owns a slice of the device maps, its own timing-wheel event
+//! each lane owns a slice of the device maps, its own event
 //! queue, and the workload sources whose hosts live there. Lanes advance in
 //! lockstep epochs whose length is bounded by the partition *lookahead*:
 //! the minimum over (a) the propagation delay of every link crossing the
@@ -21,7 +21,7 @@
 //!    concatenates all outboxes, stable-sorts on
 //!    `(deliver, gen, class, origin)` — a key that never mentions the shard
 //!    — and pushes entries into the destination queues in that order, so
-//!    the timing wheel's insertion-order tie-break is reproduced exactly.
+//!    the event queue's insertion-order tie-break is reproduced exactly.
 //! 2. **Per-origin chaos streams.** Probabilistic fault draws come from
 //!    per-origin RNG streams forked from one seed (see
 //!    [`Simulation::apply_fault_plan`]), so a node's draw sequence does not
@@ -83,7 +83,7 @@ struct DeliveryStub {
 /// hub's controller app, device flags on owning lanes, broadcast fault
 /// windows), so the driver applies them at barriers instead of letting any
 /// single lane race ahead with them. Ties at one instant apply in insertion
-/// order, mirroring the sequential timing wheel.
+/// order, mirroring the sequential event queue.
 #[derive(Default)]
 struct Timeline {
     entries: Vec<(SimTime, u64, Event)>,
@@ -468,7 +468,7 @@ impl Driver {
             }
             Event::RecoverReplica { replica } => {
                 // Mirrors the sequential arm, but the handoff completion is
-                // a central follow-up (the timeline, not a lane wheel).
+                // a central follow-up (the timeline, not a lane queue).
                 if let Some(at) = lanes[0]
                     .app
                     .cluster
@@ -1093,7 +1093,7 @@ fn run(mut sim: Simulation, until: SimTime, shards: usize, threads: usize) -> Re
 /// scheduled at `fire(s, j)` pops, where `fire(s, j)` is the previous
 /// flow's `started_at` (`t=0` for `j = 0`: the seeds planted by `start()`).
 /// Two flows order by those pop times; a tie recurses into the *parents'*
-/// creation order (the timing wheel breaks ties by insertion order, and the
+/// creation order (the event queue breaks ties by insertion order, and the
 /// tied `SourceNext` events were inserted while their parent flows were
 /// being created). At the ground, seeds were inserted in global source
 /// order, before any mid-run insertion.

@@ -43,9 +43,9 @@ pub(crate) enum Event {
     /// the optional controller-capacity gate).
     ///
     /// Control messages are boxed to keep the `Event` enum at the size of
-    /// its hot variant (`Arrive`): every event is memmoved several times
-    /// through the timing wheel, so the max variant size is a hot-path
-    /// constant, while control events are comparatively rare.
+    /// its hot variant (`Arrive`): the queue's payload slab holds one
+    /// `Event` per slot, so the max variant size sets how densely pending
+    /// events pack, while control events are comparatively rare.
     CtrlFromSwitch {
         from: NodeId,
         msg: Box<SwitchToController>,
@@ -386,7 +386,7 @@ pub(crate) struct FlowRecord {
 /// into the destination queues in that order. The key never mentions the
 /// shard, and entries from one origin are generated on one shard in a
 /// deterministic order the stable sort preserves — so the insertion order
-/// (the timing wheel's tie-breaker) is identical for every shard count.
+/// (the event queue's tie-breaker) is identical for every shard count.
 pub(crate) struct OutboxEntry {
     /// When the event is due at its destination.
     pub(crate) deliver: SimTime,
@@ -1030,7 +1030,7 @@ impl Simulation {
 
     /// Crash controller replica `replica`: every switch it masters starts
     /// migrating to its first live standby, and the handoff completion is
-    /// scheduled through the timing wheel so the failover replays
+    /// scheduled through the event queue so the failover replays
     /// bit-identically. No-op without a cluster.
     pub(crate) fn crash_replica(&mut self, now: SimTime, replica: u32) {
         let Some(cluster) = self.app.cluster.as_mut() else {
@@ -2219,6 +2219,9 @@ impl Simulation {
         reg.add("middlebox.rejections", middlebox_rejections);
         reg.add("sim.misrouted", self.misrouted);
         reg.add("sim.events_processed", events_processed);
+        // High-water pending count of this engine's queue (the hub lane's
+        // on sharded runs): the operating point the heap queue is sized for.
+        reg.add("sim.event_queue.peak", self.events.peak_len() as u64);
         for (i, &n) in self.ctrl_tx.iter().enumerate() {
             reg.add(&format!("controller.tx.{}", CTRL_TX_KIND_NAMES[i]), n);
         }

@@ -5,208 +5,34 @@
 //! the engine deterministic: two runs that push the same events in the same
 //! order pop them in the same order, regardless of payload contents.
 //!
-//! Two implementations share that contract:
+//! ## Layout
 //!
-//! * [`EventQueue`] — a hierarchical timing wheel, the production queue.
-//!   Pushes and pops are O(1) amortized instead of the O(log n) of a binary
-//!   heap, and the slot buckets recycle their allocations, so the steady
-//!   state allocates nothing.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` queue, kept as the
-//!   executable specification. Property tests drive both with the same
-//!   operation sequences and assert identical `(time, seq, payload)` pop
-//!   streams.
+//! [`EventQueue`] is a binary min-heap of 24-byte keys `(at, seq, slot)`
+//! over a payload slab. A push moves the payload into a free slab slot and
+//! pushes its key; a pop takes the payload back out of its slot and frees
+//! the slot for the next push. Heap sifts therefore move keys, never
+//! payloads, whatever the size of `E`. Freed slots are reused last-freed
+//! first, so the few slots a small pending set cycles through stay in
+//! cache, and the steady state allocates nothing.
 //!
-//! ## Wheel geometry
-//!
-//! Four levels of 256 slots. A level-`k` slot spans `2^(8k)` ns: level 0
-//! resolves single nanoseconds, level 3 slots span ~16.8 ms, and the whole
-//! wheel covers deltas up to `2^32` ns (~4.3 s). Events further out than
-//! that land in a sorted *spill* heap and migrate into the wheel as the
-//! cursor approaches them. An event is addressed by the 8-bit digit of its
-//! timestamp at its level (`(at >> 8k) & 0xff`); when the cursor enters a
-//! level-`k > 0` slot's window the slot *cascades* — its events re-place
-//! into finer levels — until the due events sit in a level-0 slot, which
-//! holds a single timestamp and drains in seq order.
+//! A push or pop costs O(log n) in the pending count. The engine's pending
+//! sets are tens of events, where that beats the constant-factor overhead of
+//! a timing wheel; DESIGN.md §9 has the measurements and the crossover.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Internal heap entry. `Reverse`-style ordering: the *earliest* event is the
-/// greatest element so it surfaces at the top of the max-heap.
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted: smaller (time, seq) is "greater" for the max-heap.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// The reference event queue over a binary heap.
-///
-/// Functionally identical to [`EventQueue`]; see the module docs. Kept
-/// because it is small enough to be obviously correct, which makes it the
-/// oracle the timing wheel is property-tested against.
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    /// Timestamp of the last popped event; pops are monotone.
-    now: SimTime,
-    pushed_total: u64,
-    popped_total: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// An empty queue positioned at `t = 0`.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            pushed_total: 0,
-            popped_total: 0,
-        }
-    }
-
-    /// Schedule `payload` for time `at` (clamped to the current time).
-    pub fn push(&mut self, at: SimTime, payload: E) {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.pushed_total += 1;
-        self.heap.push(Entry { at, seq, payload });
-    }
-
-    /// Remove and return the earliest event, advancing the queue's clock.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.heap.pop()?;
-        debug_assert!(e.at >= self.now, "event queue went backwards");
-        self.now = e.at;
-        self.popped_total += 1;
-        Some((e.at, e.payload))
-    }
-
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// The current simulation time: the timestamp of the last popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events ever pushed (diagnostic).
-    pub fn pushed_total(&self) -> u64 {
-        self.pushed_total
-    }
-
-    /// Total events ever popped (diagnostic).
-    pub fn popped_total(&self) -> u64 {
-        self.popped_total
-    }
-}
-
-/// Slots per wheel level (one byte of the timestamp each).
-const SLOTS: usize = 256;
-/// Wheel levels; level `k` slots span `2^(8k)` ns.
-const LEVELS: usize = 4;
-/// Deltas at or beyond this go to the spill heap (`2^(8 * LEVELS)` ns).
-const HORIZON: u64 = 1 << (8 * LEVELS as u32);
-
-/// A scheduled event inside a wheel bucket.
-struct Node<E> {
+/// A pending event's heap key. Ordered by `(at, seq)`; `seq` is unique, so
+/// `slot` (where the payload lives) never decides an order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: u64,
     seq: u64,
-    payload: E,
+    slot: u32,
 }
 
-/// One wheel level: 256 buckets plus an occupancy bitmap for O(1) scans.
-struct Level<E> {
-    occ: [u64; 4],
-    slots: Vec<Vec<Node<E>>>,
-}
-
-impl<E> Level<E> {
-    fn new() -> Self {
-        Level {
-            occ: [0; 4],
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    fn push(&mut self, slot: usize, node: Node<E>) {
-        self.occ[slot / 64] |= 1u64 << (slot % 64);
-        self.slots[slot].push(node);
-    }
-
-    /// First occupied slot at index `>= from`. No wrap-around: an event's
-    /// slot digit is never below the cursor's digit at its level (they
-    /// share all higher digits and the event is not in the past), so slots
-    /// behind the cursor are empty. Slot order is time order per level.
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        let (w0, b0) = (from / 64, from % 64);
-        let masked = self.occ[w0] & (!0u64 << b0);
-        if masked != 0 {
-            return Some(w0 * 64 + masked.trailing_zeros() as usize);
-        }
-        for w in w0 + 1..4 {
-            if self.occ[w] != 0 {
-                return Some(w * 64 + self.occ[w].trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Take a slot's bucket, clearing its occupancy bit. The caller returns
-    /// the emptied `Vec` via [`Level::restore`] so its capacity is reused.
-    fn take(&mut self, slot: usize) -> Vec<Node<E>> {
-        self.occ[slot / 64] &= !(1u64 << (slot % 64));
-        std::mem::take(&mut self.slots[slot])
-    }
-
-    fn restore(&mut self, slot: usize, mut bucket: Vec<Node<E>>) {
-        debug_assert!(self.slots[slot].is_empty());
-        bucket.clear();
-        self.slots[slot] = bucket;
-    }
-}
-
-/// A deterministic future-event list (hierarchical timing wheel).
+/// A deterministic future-event list.
 ///
 /// ```
 /// use scotch_sim::{EventQueue, SimTime};
@@ -221,16 +47,12 @@ impl<E> Level<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    levels: Vec<Level<E>>,
-    /// Events beyond the wheel horizon, ordered by `(at, seq)`.
-    spill: BinaryHeap<Entry<E>>,
-    /// The drained due bucket: events at `current_at`, in seq order.
-    current: VecDeque<(u64, E)>,
-    current_at: SimTime,
-    /// The wheel's position, in ns. Invariants: `now <= cursor`, and every
-    /// event in the wheel or spill has `at >= cursor`.
-    cursor: u64,
-    pending: usize,
+    /// Keys of the pending events; `Reverse` makes the max-heap a min-heap.
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Payloads by slot; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slots, reused last-freed first.
+    free: Vec<u32>,
     seq: u64,
     /// Timestamp of the last popped event; pops are monotone.
     now: SimTime,
@@ -248,12 +70,9 @@ impl<E> EventQueue<E> {
     /// An empty queue positioned at `t = 0`.
     pub fn new() -> Self {
         EventQueue {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            spill: BinaryHeap::new(),
-            current: VecDeque::new(),
-            current_at: SimTime::ZERO,
-            cursor: 0,
-            pending: 0,
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
             pushed_total: 0,
@@ -271,154 +90,41 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.pushed_total += 1;
-        self.pending += 1;
-        self.place(at.0, seq, payload);
-    }
-
-    /// Route an event to its wheel level, or to the spill heap.
-    ///
-    /// The level is the position of the highest digit (base 256) in which
-    /// `at` differs from the cursor. That guarantees the target slot is
-    /// strictly ahead of the cursor's slot at that level (equal higher
-    /// digits, larger level digit), so cascades always re-place into finer
-    /// levels and terminate. Events whose top four digits differ from the
-    /// cursor's don't fit the wheel and go to the spill heap — since they
-    /// exceed the cursor in a higher digit, they sort after every wheel
-    /// event.
-    fn place(&mut self, at: u64, seq: u64, payload: E) {
-        debug_assert!(at >= self.cursor);
-        let diff = at ^ self.cursor;
-        if diff >= HORIZON {
-            self.spill.push(Entry {
-                at: SimTime(at),
-                seq,
-                payload,
-            });
-            return;
-        }
-        let level = (63 - (diff | 1).leading_zeros() as usize) / 8;
-        let slot = ((at >> (8 * level)) & 0xff) as usize;
-        self.levels[level].push(slot, Node { at, seq, payload });
-    }
-
-    /// Absolute start of the part of `(level, slot)`'s window at or after
-    /// the cursor. `slot` is at or ahead of the cursor's index (see
-    /// [`Level::next_occupied`]).
-    fn window_start(&self, level: usize, slot: usize) -> u64 {
-        let shift = 8 * level as u32;
-        let idx = (self.cursor >> shift) & 0xff;
-        ((self.cursor >> shift) - idx + slot as u64) << shift
-    }
-
-    /// Move spill events that now fit the wheel horizon into the wheel.
-    fn migrate_spill(&mut self) {
-        while let Some(e) = self.spill.peek() {
-            if (e.at.0 ^ self.cursor) >= HORIZON {
-                break;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(payload);
+                slot
             }
-            let e = self.spill.pop().unwrap();
-            self.place(e.at.0, e.seq, e.payload);
-        }
-    }
-
-    /// Advance the wheel until the next due bucket is drained into
-    /// `current`. Returns `None` when no events are pending anywhere.
-    ///
-    /// Spill migration is *lazy*: every spill entry lies in a later
-    /// `2^32` ns block than the cursor (that is what put it in the spill),
-    /// and every wheel event shares the cursor's block, so the spill head
-    /// is always later than every wheel event — and the cursor cannot enter
-    /// the spill's block while the wheel still holds events. The spill is
-    /// therefore consulted only when the wheel drains completely, and then
-    /// its whole due block migrates in one batch through the ordinary
-    /// per-level cascade, instead of paying a heap peek on every refill.
-    fn refill(&mut self) -> Option<()> {
-        debug_assert!(self.current.is_empty());
-        loop {
-            // Candidate: the minimal window start over each level's first
-            // occupied slot. Ties prefer the coarser level so its window
-            // cascades before a finer bucket at the same time drains.
-            let mut best: Option<(u64, usize, usize)> = None;
-            for (k, level) in self.levels.iter().enumerate() {
-                let idx = ((self.cursor >> (8 * k as u32)) & 0xff) as usize;
-                if let Some(s) = level.next_occupied(idx) {
-                    let bound = self.window_start(k, s).max(self.cursor);
-                    let better = match best {
-                        None => true,
-                        Some((bb, bk, _)) => bound < bb || (bound == bb && k > bk),
-                    };
-                    if better {
-                        best = Some((bound, k, s));
-                    }
-                }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("2^32 pending events");
+                self.slab.push(Some(payload));
+                slot
             }
-            let Some((bound, k, s)) = best else {
-                // Wheel empty: jump to the spill's earliest event (if any)
-                // and batch-migrate everything in its block. Entries land
-                // via `place`, cascading level by level as usual.
-                let jump = self.spill.peek()?.at.0;
-                debug_assert!(jump >= self.cursor);
-                self.cursor = jump;
-                self.migrate_spill();
-                continue;
-            };
-            self.cursor = bound;
-            let mut bucket = self.levels[k].take(s);
-            if k == 0 {
-                // A level-0 slot holds a single timestamp; seq order
-                // restores global FIFO across direct pushes, cascades and
-                // spill migrations.
-                bucket.sort_unstable_by_key(|n| n.seq);
-                self.current_at = SimTime(bound);
-                for n in bucket.drain(..) {
-                    debug_assert!(n.at == bound);
-                    self.current.push_back((n.seq, n.payload));
-                }
-                self.levels[0].restore(s, bucket);
-                return Some(());
-            }
-            // Cascade: re-place the window's events against the advanced
-            // cursor; they land in strictly finer levels.
-            for n in bucket.drain(..) {
-                self.place(n.at, n.seq, n.payload);
-            }
-            self.levels[k].restore(s, bucket);
-        }
+        };
+        self.heap.push(Reverse(Key {
+            at: at.0,
+            seq,
+            slot,
+        }));
     }
 
     /// Remove and return the earliest event, advancing the queue's clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.current.is_empty() {
-            self.refill()?;
-        }
-        let (_, payload) = self.current.pop_front().unwrap();
-        let at = self.current_at;
+        let Reverse(key) = self.heap.pop()?;
+        let payload = self.slab[key.slot as usize]
+            .take()
+            .expect("a pending key owns its slot");
+        self.free.push(key.slot);
+        let at = SimTime(key.at);
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
         self.popped_total += 1;
-        self.pending -= 1;
         Some((at, payload))
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if !self.current.is_empty() {
-            return Some(self.current_at);
-        }
-        let mut min: Option<u64> = None;
-        for (k, level) in self.levels.iter().enumerate() {
-            let idx = ((self.cursor >> (8 * k as u32)) & 0xff) as usize;
-            if let Some(s) = level.next_occupied(idx) {
-                // Ring order is time order per level, so the first occupied
-                // slot's earliest entry is the level's minimum.
-                let m = level.slots[s].iter().map(|n| n.at).min().unwrap();
-                min = Some(min.map_or(m, |v: u64| v.min(m)));
-            }
-        }
-        if let Some(e) = self.spill.peek() {
-            min = Some(min.map_or(e.at.0, |v| v.min(e.at.0)));
-        }
-        min.map(SimTime)
+        self.heap.peek().map(|Reverse(k)| SimTime(k.at))
     }
 
     /// The current simulation time: the timestamp of the last popped event.
@@ -428,12 +134,18 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.pending
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.heap.is_empty()
+    }
+
+    /// The most events ever pending at once. The slab grows only when every
+    /// slot is occupied, so its length is exactly that high-water mark.
+    pub fn peak_len(&self) -> usize {
+        self.slab.len()
     }
 
     /// Total events ever pushed (diagnostic).
@@ -452,6 +164,96 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
     use proptest::prelude::*;
+
+    /// The executable specification: a plain heap of whole entries, small
+    /// enough to be obviously correct. `seq` is unique, so the payload is
+    /// never compared; its `Ord` bound only satisfies the tuple ordering.
+    struct HeapEventQueue<E> {
+        heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
+        seq: u64,
+        now: SimTime,
+        pushed_total: u64,
+        popped_total: u64,
+    }
+
+    impl<E: Ord> HeapEventQueue<E> {
+        fn new() -> Self {
+            HeapEventQueue {
+                heap: BinaryHeap::new(),
+                seq: 0,
+                now: SimTime::ZERO,
+                pushed_total: 0,
+                popped_total: 0,
+            }
+        }
+
+        fn push(&mut self, at: SimTime, payload: E) {
+            self.heap
+                .push(Reverse((at.max(self.now), self.seq, payload)));
+            self.seq += 1;
+            self.pushed_total += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            let Reverse((at, _, payload)) = self.heap.pop()?;
+            self.now = at;
+            self.popped_total += 1;
+            Some((at, payload))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse((at, _, _))| *at)
+        }
+    }
+
+    /// Drives [`EventQueue`] and the oracle with the same operations and
+    /// checks every observable after each step, including that the slab
+    /// never outgrows the largest pending set (slot recycling cannot leak).
+    struct Lockstep {
+        queue: EventQueue<usize>,
+        oracle: HeapEventQueue<usize>,
+        max_len: usize,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Lockstep {
+                queue: EventQueue::new(),
+                oracle: HeapEventQueue::new(),
+                max_len: 0,
+            }
+        }
+
+        fn push(&mut self, at: SimTime, payload: usize) {
+            self.queue.push(at, payload);
+            self.oracle.push(at, payload);
+            self.check();
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, usize)> {
+            let popped = self.queue.pop();
+            assert_eq!(popped, self.oracle.pop());
+            self.check();
+            popped
+        }
+
+        fn check(&mut self) {
+            let q = &self.queue;
+            assert_eq!(q.peek_time(), self.oracle.peek_time());
+            assert_eq!(q.len(), self.oracle.heap.len());
+            assert_eq!(q.is_empty(), self.oracle.heap.is_empty());
+            assert_eq!(q.now(), self.oracle.now);
+            assert_eq!(q.pushed_total(), self.oracle.pushed_total);
+            assert_eq!(q.popped_total(), self.oracle.popped_total);
+            self.max_len = self.max_len.max(q.len());
+            assert_eq!(q.peak_len(), self.max_len);
+        }
+
+        /// Pop both queues dry.
+        fn drain(mut self) {
+            while self.pop().is_some() {}
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -509,8 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn far_events_spill_and_return() {
-        // Beyond the 2^32 ns wheel horizon.
+    fn far_future_event_pops_after_near() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(8), "far");
         q.push(SimTime::from_secs(1), "near");
@@ -522,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_only_queue_jumps_cursor() {
+    fn far_future_only_queue_pops_in_order() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(100), 1);
         q.push(SimTime::from_secs(100), 2);
@@ -542,6 +343,23 @@ mod tests {
         q.push(q.now() + SimDuration::from_secs(1), 2);
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 4);
+    }
+
+    #[test]
+    fn peak_len_is_the_high_water_mark() {
+        let mut q = EventQueue::new();
+        for i in 0..3 {
+            q.push(SimTime::from_nanos(i), i);
+        }
+        q.pop();
+        q.pop();
+        q.push(SimTime::from_nanos(9), 9);
+        assert_eq!((q.len(), q.peak_len()), (2, 3));
+        q.push(SimTime::from_nanos(9), 10);
+        q.push(SimTime::from_nanos(9), 11);
+        assert_eq!((q.len(), q.peak_len()), (4, 4));
+        while q.pop().is_some() {}
+        assert_eq!((q.len(), q.peak_len()), (0, 4));
     }
 
     proptest! {
@@ -584,114 +402,65 @@ mod tests {
             prop_assert_eq!(build(), build());
         }
 
-        /// The wheel's pop stream is identical to the heap oracle's under
-        /// random push/pop interleavings: same `(time, payload)` pairs, same
-        /// clamping of past events, same `peek_time`. Timestamps span far
-        /// past the wheel horizon so the spill heap is exercised, and are
-        /// coarsened so same-timestamp collisions are common.
+        /// Random push/pop interleavings match the oracle step for step.
+        /// Timestamps are coarsened to a 1 ms grid so collisions are common,
+        /// and random times often fall behind `now` and clamp.
         #[test]
-        fn prop_wheel_matches_heap(
+        fn prop_queue_matches_oracle(
             ops in proptest::collection::vec((0u8..4, 0u64..6_000_000_000), 1..300),
         ) {
-            let mut wheel = EventQueue::new();
-            let mut heap = HeapEventQueue::new();
+            let mut s = Lockstep::new();
             for (i, (op, t)) in ops.iter().enumerate() {
                 if *op == 3 {
-                    prop_assert_eq!(wheel.pop(), heap.pop());
+                    s.pop();
                 } else {
-                    // Coarsen to 1 ms grid for timestamp collisions.
-                    let at = SimTime::from_nanos(t / 1_000_000 * 1_000_000);
-                    wheel.push(at, i);
-                    heap.push(at, i);
-                }
-                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                prop_assert_eq!(wheel.len(), heap.len());
-                prop_assert_eq!(wheel.now(), heap.now());
-            }
-            loop {
-                let (a, b) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(&a, &b);
-                if a.is_none() {
-                    break;
+                    s.push(SimTime::from_nanos(t / 1_000_000 * 1_000_000), i);
                 }
             }
-            prop_assert_eq!(wheel.pushed_total(), heap.pushed_total());
-            prop_assert_eq!(wheel.popped_total(), heap.popped_total());
+            s.drain();
         }
 
-        /// Spill-heavy traffic: timestamps span dozens of 2^32 ns wheel
-        /// blocks, so most pushes land in the spill heap and the lazy
-        /// block-batch migration path runs many times, interleaved with
-        /// pops and with near-term pushes that re-populate the wheel after
-        /// each block jump. The wheel must still match the heap oracle
-        /// exactly — including `peek_time` while events sit unmigrated in
-        /// the spill.
+        /// Far-future traffic: pushes dozens of 2^32 ns blocks ahead and up
+        /// against `u64::MAX`, interleaved with near pushes relative to
+        /// `now` (which clamp once a far event has popped) and with pops.
         #[test]
-        fn prop_wheel_matches_heap_spill_heavy(
+        fn prop_queue_matches_oracle_far_future(
             ops in proptest::collection::vec((0u8..5, 0u64..64), 1..300),
         ) {
             const BLOCK: u64 = 1 << 32;
-            let mut wheel = EventQueue::new();
-            let mut heap = HeapEventQueue::new();
+            let mut s = Lockstep::new();
             for (i, (op, t)) in ops.iter().enumerate() {
                 match op {
-                    // Pops are less frequent than pushes so the spill
-                    // accumulates entries across many far blocks.
-                    4 => { prop_assert_eq!(wheel.pop(), heap.pop()); }
-                    // Far pushes: a whole block per unit of `t`, plus a
-                    // small in-block offset, so successive block jumps
-                    // find several co-resident spill entries to batch.
-                    0 | 1 => {
-                        let at = SimTime::from_nanos(t * BLOCK + (i as u64 % 3) * (BLOCK / 2));
-                        wheel.push(at, i);
-                        heap.push(at, i);
-                    }
-                    // Near pushes: clamp-to-now keeps the wheel non-empty
-                    // between block jumps.
-                    _ => {
-                        let at = wheel.now() + SimDuration::from_nanos(*t);
-                        wheel.push(at, i);
-                        heap.push(at, i);
-                    }
-                }
-                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                prop_assert_eq!(wheel.len(), heap.len());
-            }
-            loop {
-                let (a, b) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(&a, &b);
-                if a.is_none() {
-                    break;
+                    0 => s.push(SimTime::from_nanos(t * BLOCK + (i as u64 % 3) * (BLOCK / 2)), i),
+                    1 => s.push(SimTime::from_nanos(u64::MAX - t), i),
+                    4 => { s.pop(); }
+                    // Saturating: `now` may already sit near `u64::MAX`.
+                    _ => s.push(SimTime::from_nanos(s.queue.now().as_nanos().saturating_add(*t)), i),
                 }
             }
-            prop_assert_eq!(wheel.popped_total(), heap.popped_total());
+            s.drain();
         }
 
-        /// Dense nanosecond-scale traffic (every level-0 path): the wheel
-        /// matches the oracle with many same-bucket and adjacent-bucket
-        /// events, including pushes that clamp to `now` mid-drain.
+        /// Dense nanosecond-scale traffic: single pushes, same-timestamp
+        /// bursts at or just after `now`, and pops mid-burst.
         #[test]
-        fn prop_wheel_matches_heap_dense(
+        fn prop_queue_matches_oracle_dense(
             ops in proptest::collection::vec((0u8..3, 0u64..4_096), 1..300),
         ) {
-            let mut wheel = EventQueue::new();
-            let mut heap = HeapEventQueue::new();
+            let mut s = Lockstep::new();
             for (i, (op, t)) in ops.iter().enumerate() {
-                if *op == 2 {
-                    prop_assert_eq!(wheel.pop(), heap.pop());
-                } else {
-                    let at = SimTime::from_nanos(*t);
-                    wheel.push(at, i);
-                    heap.push(at, i);
+                match op {
+                    0 => s.push(SimTime::from_nanos(*t), i),
+                    1 => {
+                        let at = s.queue.now() + SimDuration::from_nanos(t % 4);
+                        for k in 0..2 + t % 8 {
+                            s.push(at, i * 16 + k as usize);
+                        }
+                    }
+                    _ => { s.pop(); }
                 }
             }
-            loop {
-                let (a, b) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(&a, &b);
-                if a.is_none() {
-                    break;
-                }
-            }
+            s.drain();
         }
     }
 }

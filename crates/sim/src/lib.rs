@@ -32,7 +32,7 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use event::{EventQueue, HeapEventQueue};
+pub use event::EventQueue;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FAULT_KIND_COUNT, FAULT_KIND_NAMES};
 pub use hash::{FxHashMap, FxHashSet};
 pub use journey::{
