@@ -42,7 +42,7 @@ impl Json {
     /// Render with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write_pretty(&mut out, 0);
         out.push('\n');
         out
     }
@@ -87,7 +87,11 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Append the two-space-indented rendering of `self` to `out`, as a
+    /// value nested `indent` levels deep (what [`Json::pretty`] writes for
+    /// it inside a document). Lets a caller stream a large document whose
+    /// bulk it writes itself with [`write_num`] and [`write_str`].
+    pub fn write_pretty(&self, out: &mut String, indent: usize) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => {
@@ -107,7 +111,7 @@ impl Json {
                     }
                     out.push('\n');
                     pad(out, indent + 1);
-                    item.write(out, indent + 1);
+                    item.write_pretty(out, indent + 1);
                 }
                 out.push('\n');
                 pad(out, indent);
@@ -127,7 +131,7 @@ impl Json {
                     pad(out, indent + 1);
                     write_str(out, key);
                     out.push_str(": ");
-                    value.write(out, indent + 1);
+                    value.write_pretty(out, indent + 1);
                 }
                 out.push('\n');
                 pad(out, indent);
@@ -143,7 +147,9 @@ fn pad(out: &mut String, indent: usize) {
     }
 }
 
-fn write_num(out: &mut String, v: f64) {
+/// Append a number exactly as [`Json::Num`] renders it: integral values
+/// below 9e15 without a decimal point, non-finite values as `null`.
+pub fn write_num(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
     } else if v == v.trunc() && v.abs() < 9.0e15 {
@@ -153,7 +159,8 @@ fn write_num(out: &mut String, v: f64) {
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Append `s` as a quoted, escaped JSON string.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

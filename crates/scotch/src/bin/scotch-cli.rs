@@ -289,50 +289,28 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match args[i].as_str() {
             "--scenario" => o.scenario = next(&mut i)?,
             "--mesh" => o.mesh = next(&mut i)?.parse().map_err(|e| format!("--mesh: {e}"))?,
-            "--racks" => o.racks = next(&mut i)?.parse().map_err(|e| format!("--racks: {e}"))?,
-            "--servers" => {
-                o.servers = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--servers: {e}"))?
-            }
+            "--racks" => o.racks = parse_count("--racks", &next(&mut i)?, 2)?,
+            "--servers" => o.servers = parse_count("--servers", &next(&mut i)?, 1)?,
             "--middlebox" => o.middlebox = true,
-            "--attack" => {
-                o.attack = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--attack: {e}"))?,
-                )
-            }
+            "--attack" => o.attack = Some(parse_rate("--attack", &next(&mut i)?, false)?),
             "--attack-window" => {
-                let start: f64 = next(&mut i)?.parse().map_err(|e| format!("window: {e}"))?;
-                let end: f64 = next(&mut i)?.parse().map_err(|e| format!("window: {e}"))?;
-                o.attack_window = Some((start, end));
+                let start = next(&mut i)?;
+                let end = next(&mut i)?;
+                o.attack_window = Some(parse_window(&start, &end)?);
             }
-            "--clients" => {
-                o.clients = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--trace" => {
-                o.trace = Some(next(&mut i)?.parse().map_err(|e| format!("--trace: {e}"))?)
-            }
+            "--clients" => o.clients = parse_rate("--clients", &next(&mut i)?, true)?,
+            "--trace" => o.trace = Some(parse_rate("--trace", &next(&mut i)?, false)?),
             "--elephants" => {
                 let n: usize = next(&mut i)?
                     .parse()
                     .map_err(|e| format!("elephants: {e}"))?;
-                let pps: f64 = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("elephants: {e}"))?;
+                let pps = parse_rate("--elephants pps", &next(&mut i)?, false)?;
                 let pkts: u32 = next(&mut i)?
                     .parse()
                     .map_err(|e| format!("elephants: {e}"))?;
                 o.elephants = Some((n, pps, pkts));
             }
-            "--link-loss" => {
-                o.link_loss = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--link-loss: {e}"))?
-            }
+            "--link-loss" => o.link_loss = parse_probability("--link-loss", &next(&mut i)?)?,
             "--baseline" => o.baseline = true,
             "--sampling-rate" => {
                 o.sampling_rate = Some(parse_sampling_rate(&next(&mut i)?)?);
@@ -361,11 +339,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 )
             }
             "--rack-clients" => {
-                o.rack_clients = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--rack-clients: {e}"))?,
-                )
+                o.rack_clients = Some(parse_rate("--rack-clients", &next(&mut i)?, false)?)
             }
             "--profile-shards" => o.profile_shards = true,
             "--controllers" => {
@@ -426,6 +400,53 @@ fn parse_duration(text: &str) -> Result<f64, String> {
         ));
     }
     Ok(secs)
+}
+
+/// Parse a rate (flows or packets per second) given to `flag`: finite and
+/// positive, or finite and non-negative when `zero_ok` (a zero client rate
+/// switches the clients off).
+fn parse_rate(flag: &str, text: &str, zero_ok: bool) -> Result<f64, String> {
+    let rate: f64 = text.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if !rate.is_finite() || rate < 0.0 || (rate == 0.0 && !zero_ok) {
+        let want = if zero_ok {
+            "a finite rate >= 0"
+        } else {
+            "a positive finite rate"
+        };
+        return Err(format!("{flag} must be {want}, got {text}"));
+    }
+    Ok(rate)
+}
+
+/// Parse a probability given to `flag`: a number in `[0, 1]`.
+fn parse_probability(flag: &str, text: &str) -> Result<f64, String> {
+    let p: f64 = text.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("{flag} must be in [0, 1], got {text}"));
+    }
+    Ok(p)
+}
+
+/// Parse a count given to `flag` that must be at least `min`.
+fn parse_count(flag: &str, text: &str, min: usize) -> Result<usize, String> {
+    let n: usize = text.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if n < min {
+        return Err(format!("{flag} must be at least {min}, got {n}"));
+    }
+    Ok(n)
+}
+
+/// Parse an `--attack-window START END` pair in seconds: finite, with
+/// `0 <= START < END`.
+fn parse_window(start: &str, end: &str) -> Result<(f64, f64), String> {
+    let s: f64 = start.parse().map_err(|e| format!("--attack-window: {e}"))?;
+    let e: f64 = end.parse().map_err(|e| format!("--attack-window: {e}"))?;
+    if !(s >= 0.0 && s < e && e.is_finite()) {
+        return Err(format!(
+            "--attack-window needs finite 0 <= START < END, got {start} {end}"
+        ));
+    }
+    Ok((s, e))
 }
 
 /// Parse and range-check a `--sampling-rate` value (shared by the run,
@@ -1111,16 +1132,8 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
                     .map_err(|e| format!("--seed-base: {e}"))?
             }
             "--duration" => o.duration = parse_duration(&next(&mut i)?)?,
-            "--attack" => {
-                o.attack = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--attack: {e}"))?
-            }
-            "--clients" => {
-                o.clients = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
+            "--attack" => o.attack = parse_rate("--attack", &next(&mut i)?, false)?,
+            "--clients" => o.clients = parse_rate("--clients", &next(&mut i)?, true)?,
             "--threads" => {
                 o.threads = next(&mut i)?
                     .parse()
@@ -3073,6 +3086,59 @@ mod tests {
     fn attack_window_pairs() {
         let o = parse("--attack 2000 --attack-window 1 4").unwrap();
         assert_eq!(o.attack_window, Some((1.0, 4.0)));
+    }
+
+    #[test]
+    fn scenario_knobs_reject_out_of_range_values() {
+        for bad in [
+            "--attack -5",
+            "--attack 0",
+            "--attack nan",
+            "--attack inf",
+            "--trace -3",
+            "--trace 0",
+            "--clients -1",
+            "--clients nan",
+            "--rack-clients -2",
+            "--elephants 2 0 100",
+            "--link-loss 2",
+            "--link-loss -1",
+            "--link-loss nan",
+            "--servers 0",
+            "--scenario multirack --racks 0",
+            "--racks 1",
+            "--attack 500 --attack-window 5 1",
+            "--attack 500 --attack-window 2 2",
+            "--attack 500 --attack-window -1 3",
+            "--attack 500 --attack-window 1 inf",
+            "--attack 500 --attack-window nan 3",
+        ] {
+            assert!(parse(bad).is_err(), "accepted `{bad}`");
+        }
+        let o =
+            parse("--clients 0 --link-loss 1 --servers 1 --racks 2 --attack-window 0 1").unwrap();
+        assert_eq!(
+            (o.clients, o.link_loss, o.servers, o.racks),
+            (0.0, 1.0, 1, 2)
+        );
+        assert_eq!(o.attack_window, Some((0.0, 1.0)));
+    }
+
+    #[test]
+    fn sweep_rates_reject_out_of_range_values() {
+        for bad in [
+            "--attack -5",
+            "--attack 0",
+            "--attack nan",
+            "--attack inf",
+            "--clients -1",
+            "--clients inf",
+        ] {
+            let args: Vec<String> = bad.split_whitespace().map(String::from).collect();
+            assert!(parse_sweep_args(&args).is_err(), "sweep accepted `{bad}`");
+        }
+        let args: Vec<String> = vec!["--clients".into(), "0".into()];
+        assert_eq!(parse_sweep_args(&args).unwrap().clients, 0.0);
     }
 
     #[test]

@@ -385,7 +385,7 @@ pub fn check(report: &Report, plan: &FaultPlan, cfg: &ChaosConfig) -> Vec<Violat
     // design.
     if let Some(bound) = cfg.setup_latency_bound {
         for f in &report.flows {
-            let Some(first) = f.first_delivered else {
+            let Some(first) = f.first_delivered() else {
                 continue;
             };
             if f.is_attack {

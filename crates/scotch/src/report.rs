@@ -10,7 +10,10 @@ use scotch_switch::ofa::OfaStats;
 use scotch_switch::physical::SwitchStats;
 use scotch_switch::vswitch::VSwitchStats;
 
-/// Outcome of one flow.
+/// Outcome of one flow: the simulation's per-flow ledger entry, moved
+/// into [`Report::flows`] without conversion (DESIGN.md §9, "Flow
+/// ledger"). Kept at 72 bytes — one is live per generated flow, and a
+/// spoofed flood generates one flow per packet.
 #[derive(Debug, Clone)]
 pub struct FlowOutcome {
     /// The flow's accounting id.
@@ -29,16 +32,58 @@ pub struct FlowOutcome {
     pub delivered_bytes: u64,
     /// First packet emission time.
     pub started_at: SimTime,
-    /// First delivery, if any.
-    pub first_delivered: Option<SimTime>,
-    /// Last delivery, if any.
-    pub last_delivered: Option<SimTime>,
+    /// First delivery; meaningful only when `delivered > 0` (read it
+    /// through [`FlowOutcome::first_delivered`]).
+    pub(crate) first_delivered: SimTime,
+    /// Last delivery; meaningful only when `delivered > 0` (read it
+    /// through [`FlowOutcome::last_delivered`]).
+    pub(crate) last_delivered: SimTime,
     /// Which network served the flow at first delivery (None when the
     /// flow was relayed by the controller before any rule existed).
     pub served_by: Option<scotch_controller::flowdb::FlowPath>,
 }
 
 impl FlowOutcome {
+    /// A fresh ledger entry for `spec`, first emitted at `at`.
+    pub(crate) fn started(spec: &scotch_workload::FlowSpec, at: SimTime) -> Self {
+        FlowOutcome {
+            id: spec.id,
+            key: spec.key,
+            is_attack: spec.is_attack,
+            emitted: 0,
+            intended: spec.packets,
+            delivered: 0,
+            delivered_bytes: 0,
+            started_at: at,
+            first_delivered: SimTime::ZERO,
+            last_delivered: SimTime::ZERO,
+            served_by: None,
+        }
+    }
+
+    /// Account one delivered packet of `bytes` at `now`; true when it is
+    /// the flow's first delivery.
+    pub(crate) fn record_delivery(&mut self, now: SimTime, bytes: u32) -> bool {
+        let first = self.delivered == 0;
+        if first {
+            self.first_delivered = now;
+        }
+        self.delivered += 1;
+        self.delivered_bytes += u64::from(bytes);
+        self.last_delivered = now;
+        first
+    }
+
+    /// First delivery, if any.
+    pub fn first_delivered(&self) -> Option<SimTime> {
+        (self.delivered > 0).then_some(self.first_delivered)
+    }
+
+    /// Last delivery, if any.
+    pub fn last_delivered(&self) -> Option<SimTime> {
+        (self.delivered > 0).then_some(self.last_delivered)
+    }
+
     /// The paper's Fig. 3 success criterion: the flow "passed through the
     /// switch and reached the server".
     pub fn succeeded(&self) -> bool {
@@ -54,7 +99,7 @@ impl FlowOutcome {
     /// if the flow completed.
     pub fn completion_time(&self) -> Option<SimDuration> {
         if self.completed() {
-            self.last_delivered
+            self.last_delivered()
                 .map(|t| t.duration_since(self.started_at))
         } else {
             None
@@ -63,7 +108,7 @@ impl FlowOutcome {
 
     /// Setup latency: first emission to first delivery.
     pub fn setup_latency(&self) -> Option<SimDuration> {
-        self.first_delivered
+        self.first_delivered()
             .map(|t| t.duration_since(self.started_at))
     }
 }
@@ -136,7 +181,12 @@ pub struct Report {
     /// Messages dropped at the controller's processing capacity gate
     /// (always 0 with the default unbounded controller).
     pub controller_dropped: u64,
-    /// Events processed (engine diagnostic).
+    /// Model events processed (engine diagnostic). Counts what the model
+    /// did, not queue pops: a `FlowStart` pop — a flow's packet-0 emission
+    /// fused with its source's next arrival draw — counts 2, every other
+    /// pop 1. The number therefore does not depend on how the engine
+    /// batches work into queue events, and sequential and sharded runs
+    /// agree on it.
     pub events_processed: u64,
     /// Delivery `(time, end-to-end latency)` samples of explicitly
     /// tracked flows (see [`crate::Simulation::track_flow`]).
@@ -265,21 +315,11 @@ impl Report {
     /// format the golden-report regression tests diff; any engine change
     /// that alters event ordering shows up here as a byte difference.
     pub fn canonical_json(&self) -> String {
+        use scotch_runner::json::write_str;
         use scotch_runner::Json;
 
         fn time(t: SimTime) -> Json {
             Json::Num(t.as_nanos() as f64)
-        }
-        fn opt_time(t: Option<SimTime>) -> Json {
-            t.map(time).unwrap_or(Json::Null)
-        }
-        fn key_json(k: &scotch_net::FlowKey) -> Json {
-            Json::obj()
-                .set("src", k.src.to_string())
-                .set("dst", k.dst.to_string())
-                .set("proto", format!("{:?}", k.proto))
-                .set("sport", k.sport as u64)
-                .set("dport", k.dport as u64)
         }
         fn ofa_json(o: &OfaStats) -> Json {
             Json::obj()
@@ -289,31 +329,6 @@ impl Report {
                 .set("rules_inserted", o.rules_inserted)
                 .set("rules_failed", o.rules_failed)
         }
-
-        let flows: Vec<Json> = self
-            .flows
-            .iter()
-            .map(|f| {
-                Json::obj()
-                    .set("id", f.id.0)
-                    .set("key", key_json(&f.key))
-                    .set("is_attack", f.is_attack)
-                    .set("emitted", f.emitted as u64)
-                    .set("intended", f.intended as u64)
-                    .set("delivered", f.delivered as u64)
-                    .set("delivered_bytes", f.delivered_bytes)
-                    .set("started_at", time(f.started_at))
-                    .set("first_delivered", opt_time(f.first_delivered))
-                    .set("last_delivered", opt_time(f.last_delivered))
-                    .set(
-                        "served_by",
-                        match f.served_by {
-                            Some(p) => Json::Str(format!("{p:?}")),
-                            None => Json::Null,
-                        },
-                    )
-            })
-            .collect();
 
         let switches: Vec<Json> = self
             .switches
@@ -415,7 +430,7 @@ impl Report {
             })
             .collect();
 
-        Json::obj()
+        let head = Json::obj()
             .set("duration_ns", self.duration.as_nanos())
             .set("events_processed", self.events_processed)
             .set(
@@ -450,11 +465,41 @@ impl Report {
             .set("controller_dropped", self.controller_dropped)
             .set("latency", latency)
             .set("switches", Json::Arr(switches))
-            .set("vswitches", Json::Arr(vswitches))
-            .set("flows", Json::Arr(flows))
+            .set("vswitches", Json::Arr(vswitches));
+        let tail = Json::obj()
             .set("tracked", Json::Arr(tracked))
-            .set("captures", Json::Arr(captures))
-            .pretty()
+            .set("captures", Json::Arr(captures));
+
+        // The document is `head`, then `flows`, then `tail`, rendered as
+        // one object exactly like `Json::pretty`. The flows array (one
+        // object per generated flow, the bulk of the text) is written
+        // straight into the output instead of through a `Json` tree.
+        let mut out = String::with_capacity(64 * 1024 + 512 * self.flows.len());
+        out.push('{');
+        let key = |out: &mut String, name: &str| {
+            // Only the opening brace precedes the first field.
+            if out.len() > 1 {
+                out.push(',');
+            }
+            out.push_str("\n  ");
+            write_str(out, name);
+            out.push_str(": ");
+        };
+        let fields = |out: &mut String, doc: &Json| {
+            let Json::Obj(fields) = doc else {
+                unreachable!("head and tail are objects");
+            };
+            for (name, value) in fields {
+                key(out, name);
+                value.write_pretty(out, 1);
+            }
+        };
+        fields(&mut out, &head);
+        key(&mut out, "flows");
+        write_flows(&mut out, &self.flows);
+        fields(&mut out, &tail);
+        out.push_str("\n}\n");
+        out
     }
 
     /// Render the recorded trace as JSONL: one compact object per record
@@ -541,5 +586,182 @@ impl Report {
             self.drops.dataplane,
             self.drops.link_queue,
         )
+    }
+}
+
+/// Append the canonical `flows` array, as `Json::pretty` renders it one
+/// level deep, without building a per-flow `Json` tree. IP addresses,
+/// protocol and path names contain nothing JSON escapes, so they are
+/// written between quotes as they format.
+fn write_flows(out: &mut String, flows: &[FlowOutcome]) {
+    use scotch_runner::json::write_num;
+    use std::fmt::Write as _;
+
+    fn opt_time(out: &mut String, t: Option<SimTime>) {
+        match t {
+            Some(t) => write_num(out, t.as_nanos() as f64),
+            None => out.push_str("null"),
+        }
+    }
+
+    if flows.is_empty() {
+        out.push_str("[]");
+        return;
+    }
+    out.push('[');
+    for (i, f) in flows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("\n    {\n      \"id\": ");
+        write_num(out, f.id.0 as f64);
+        let _ = write!(
+            out,
+            ",\n      \"key\": {{\n        \"src\": \"{}\",\n        \"dst\": \"{}\",\n        \"proto\": \"{:?}\",\n        \"sport\": ",
+            f.key.src, f.key.dst, f.key.proto
+        );
+        write_num(out, f64::from(f.key.sport));
+        out.push_str(",\n        \"dport\": ");
+        write_num(out, f64::from(f.key.dport));
+        out.push_str("\n      },\n      \"is_attack\": ");
+        out.push_str(if f.is_attack { "true" } else { "false" });
+        out.push_str(",\n      \"emitted\": ");
+        write_num(out, f64::from(f.emitted));
+        out.push_str(",\n      \"intended\": ");
+        write_num(out, f64::from(f.intended));
+        out.push_str(",\n      \"delivered\": ");
+        write_num(out, f64::from(f.delivered));
+        out.push_str(",\n      \"delivered_bytes\": ");
+        write_num(out, f.delivered_bytes as f64);
+        out.push_str(",\n      \"started_at\": ");
+        write_num(out, f.started_at.as_nanos() as f64);
+        out.push_str(",\n      \"first_delivered\": ");
+        opt_time(out, f.first_delivered());
+        out.push_str(",\n      \"last_delivered\": ");
+        opt_time(out, f.last_delivered());
+        out.push_str(",\n      \"served_by\": ");
+        match f.served_by {
+            Some(p) => {
+                let _ = write!(out, "\"{p:?}\"");
+            }
+            None => out.push_str("null"),
+        }
+        out.push_str("\n    }");
+    }
+    out.push_str("\n  ]");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scotch_net::{FlowId, FlowKey, IpAddr};
+    use scotch_sim::SimDuration;
+    use scotch_workload::FlowSpec;
+
+    fn spec(packets: u32) -> FlowSpec {
+        FlowSpec {
+            id: FlowId(7),
+            key: FlowKey::tcp(IpAddr(1), 1000, IpAddr(2), 80),
+            packets,
+            packet_size: 100,
+            packet_interval: SimDuration::from_millis(1),
+            is_attack: false,
+        }
+    }
+
+    /// The direct `flows` writer renders exactly what a `Json` tree of the
+    /// same flows renders one level deep (the form golden reports pin).
+    #[test]
+    fn write_flows_matches_the_json_tree_rendering() {
+        use scotch_controller::flowdb::FlowPath;
+        use scotch_runner::Json;
+
+        fn tree(flows: &[FlowOutcome]) -> String {
+            let time = |t: Option<SimTime>| t.map_or(Json::Null, |t| Json::Num(t.0 as f64));
+            let items = flows
+                .iter()
+                .map(|f| {
+                    let key = Json::obj()
+                        .set("src", f.key.src.to_string())
+                        .set("dst", f.key.dst.to_string())
+                        .set("proto", format!("{:?}", f.key.proto))
+                        .set("sport", u64::from(f.key.sport))
+                        .set("dport", u64::from(f.key.dport));
+                    Json::obj()
+                        .set("id", f.id.0)
+                        .set("key", key)
+                        .set("is_attack", f.is_attack)
+                        .set("emitted", u64::from(f.emitted))
+                        .set("intended", u64::from(f.intended))
+                        .set("delivered", u64::from(f.delivered))
+                        .set("delivered_bytes", f.delivered_bytes)
+                        .set("started_at", time(Some(f.started_at)))
+                        .set("first_delivered", time(f.first_delivered()))
+                        .set("last_delivered", time(f.last_delivered()))
+                        .set(
+                            "served_by",
+                            f.served_by.map_or(Json::Null, |p| format!("{p:?}").into()),
+                        )
+                })
+                .collect();
+            let mut out = String::new();
+            Json::Arr(items).write_pretty(&mut out, 1);
+            out
+        }
+
+        let mut flows = Vec::new();
+        for (i, served_by) in [None, Some(FlowPath::Physical), Some(FlowPath::Overlay)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut f = FlowOutcome::started(&spec(2), SimTime::from_nanos(10_000 + i as u64));
+            f.is_attack = i == 1;
+            f.emitted = 2;
+            if served_by.is_some() {
+                f.record_delivery(SimTime::from_nanos(40_000), 100);
+                f.record_delivery(SimTime::from_nanos(70_000 + i as u64), 100);
+            }
+            f.served_by = served_by;
+            flows.push(f);
+        }
+        for n in [0, 1, flows.len()] {
+            let mut direct = String::new();
+            write_flows(&mut direct, &flows[..n]);
+            assert_eq!(direct, tree(&flows[..n]), "{n} flows");
+        }
+    }
+
+    #[test]
+    fn flow_outcome_stays_72_bytes() {
+        assert!(std::mem::size_of::<FlowOutcome>() <= 72);
+    }
+
+    #[test]
+    fn delivery_times_are_none_iff_nothing_was_delivered() {
+        let start = SimTime::from_millis(5);
+        let mut f = FlowOutcome::started(&spec(3), start);
+        assert_eq!(f.delivered, 0);
+        assert_eq!((f.first_delivered(), f.last_delivered()), (None, None));
+        assert_eq!(f.setup_latency(), None);
+        assert_eq!(f.completion_time(), None);
+
+        let t1 = SimTime::from_millis(6);
+        assert!(f.record_delivery(t1, 100));
+        assert_eq!(
+            (f.first_delivered(), f.last_delivered()),
+            (Some(t1), Some(t1))
+        );
+
+        let t2 = SimTime::from_millis(8);
+        assert!(!f.record_delivery(t2, 100));
+        assert!(!f.record_delivery(t2, 100));
+        assert_eq!(f.delivered, 3);
+        assert_eq!(f.delivered_bytes, 300);
+        assert_eq!(
+            (f.first_delivered(), f.last_delivered()),
+            (Some(t1), Some(t2))
+        );
+        assert_eq!(f.setup_latency(), Some(SimDuration::from_millis(1)));
+        assert_eq!(f.completion_time(), Some(SimDuration::from_millis(3)));
     }
 }

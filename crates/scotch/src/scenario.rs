@@ -515,9 +515,7 @@ impl Scenario {
             let mut rng = SimRng::new(seed);
             sim.apply_fault_plan(&plan, rng.fork(0xC4A05));
         }
-        if flow_hint > 0 {
-            sim.app.reserve_flow_capacity(flow_hint);
-        }
+        sim.flow_capacity_hint = flow_hint;
         sim
     }
 

@@ -39,8 +39,8 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::report::Report;
-use crate::sim::{Event, FlowRecord, OutboxEntry, ShardCtx, Simulation};
+use crate::report::{FlowOutcome, Report};
+use crate::sim::{Event, OutboxEntry, ShardCtx, Simulation};
 use scotch_controller::flowdb::FlowPath;
 use scotch_net::{FlowId, FlowKey, IpAddr, NodeId, NodeMap, Packet, Partition};
 use scotch_sim::fault::{FaultEvent, FaultKind};
@@ -73,8 +73,8 @@ impl Simulation {
 struct DeliveryStub {
     delivered: u32,
     delivered_bytes: u64,
-    first: Option<SimTime>,
-    last: Option<SimTime>,
+    first: SimTime,
+    last: SimTime,
     served_by: Option<FlowPath>,
 }
 
@@ -341,13 +341,13 @@ impl Driver {
             return;
         }
         let stub = self.ledger.entry(packet.flow_id).or_default();
-        stub.delivered += 1;
-        stub.delivered_bytes += packet.size as u64;
-        if stub.first.is_none() {
-            stub.first = Some(now);
+        if stub.delivered == 0 {
+            stub.first = now;
             stub.served_by = resolve_path(&self.journal, &packet.key, now);
         }
-        stub.last = Some(now);
+        stub.delivered += 1;
+        stub.delivered_bytes += packet.size as u64;
+        stub.last = now;
         if !packet.is_attack {
             self.latency
                 .record(now.duration_since(packet.born_at).as_nanos() as f64);
@@ -847,6 +847,7 @@ fn run(mut sim: Simulation, until: SimTime, shards: usize, threads: usize) -> Re
     let profiler = sim.profiler;
     let shard_profiling = sim.shard_profiling;
     let latency = sim.latency;
+    let flow_capacity_hint = sim.flow_capacity_hint;
 
     let mut clones = Vec::with_capacity(m - 1);
     for _ in 1..m {
@@ -870,6 +871,7 @@ fn run(mut sim: Simulation, until: SimTime, shards: usize, threads: usize) -> Re
         lane.host_ip = host_ip.clone();
         lane.ip_host = ip_host.clone();
         lane.sweep_interval = sweep_interval;
+        lane.flow_capacity_hint = flow_capacity_hint;
         lane.chaos_seed = chaos_seed;
         lane.shard = Some(ShardCtx {
             shard: s as u32,
@@ -986,7 +988,8 @@ fn run(mut sim: Simulation, until: SimTime, shards: usize, threads: usize) -> Re
 
     let rest = lanes.split_off(1);
     let mut hub = lanes.pop().expect("hub lane");
-    let mut all_flows: Vec<FlowRecord> = std::mem::take(&mut hub.flows);
+    let mut all_flows = std::mem::take(&mut hub.flows);
+    let mut all_tags = std::mem::take(&mut hub.flow_tags);
     for (i, mut lane) in rest.into_iter().enumerate() {
         let s = (i + 1) as u32;
         hub.app.journeys.absorb(&mut lane.app.journeys);
@@ -1005,6 +1008,7 @@ fn run(mut sim: Simulation, until: SimTime, shards: usize, threads: usize) -> Re
             hub.ctrl_rx[k] += lane.ctrl_rx[k];
         }
         all_flows.append(&mut lane.flows);
+        all_tags.append(&mut lane.flow_tags);
         for (n, d) in lane.physical.into_iter() {
             hub.physical.insert(n, d);
         }
@@ -1019,9 +1023,9 @@ fn run(mut sim: Simulation, until: SimTime, shards: usize, threads: usize) -> Re
         }
     }
 
-    sort_flows_into_creation_order(&mut all_flows);
+    let mut all_flows = sort_flows_into_creation_order(all_flows, all_tags);
     for r in &mut all_flows {
-        if let Some(stub) = driver.ledger.remove(&r.spec.id) {
+        if let Some(stub) = driver.ledger.remove(&r.id) {
             r.delivered = stub.delivered;
             r.delivered_bytes = stub.delivered_bytes;
             r.first_delivered = stub.first;
@@ -1087,25 +1091,31 @@ fn run(mut sim: Simulation, until: SimTime, shards: usize, threads: usize) -> Re
     hub.into_report(until, events_processed)
 }
 
-/// Reorder per-lane flow lists into the sequential creation order.
+/// Reorder per-lane flow ledgers into the sequential creation order.
+/// `tags[i]` is the `(source, ordinal)` creation tag of `flows[i]`.
 ///
-/// A flow `(source s, ordinal j)` is created when the `SourceNext` event
-/// scheduled at `fire(s, j)` pops, where `fire(s, j)` is the previous
-/// flow's `started_at` (`t=0` for `j = 0`: the seeds planted by `start()`).
+/// A flow `(source s, ordinal j)` is created when the event scheduled at
+/// `fire(s, j)` pops, where `fire(s, j)` is the previous flow's
+/// `started_at` (that flow's `FlowStart` draws the next arrival) and `t=0`
+/// for `j = 0` (the `SourceNext` seeds planted by `start()`).
 /// Two flows order by those pop times; a tie recurses into the *parents'*
 /// creation order (the event queue breaks ties by insertion order, and the
-/// tied `SourceNext` events were inserted while their parent flows were
-/// being created). At the ground, seeds were inserted in global source
-/// order, before any mid-run insertion.
-fn sort_flows_into_creation_order(flows: &mut [FlowRecord]) {
+/// tied events were inserted while their parent flows were being
+/// created). At the ground, seeds were inserted in global source order,
+/// before any mid-run insertion.
+fn sort_flows_into_creation_order(
+    flows: Vec<FlowOutcome>,
+    tags: Vec<(u32, u32)>,
+) -> Vec<FlowOutcome> {
+    assert_eq!(flows.len(), tags.len(), "one creation tag per flow");
     let mut history: FxHashMap<u32, Vec<SimTime>> = FxHashMap::default();
-    for r in flows.iter() {
-        let h = history.entry(r.source).or_default();
-        let idx = r.seq as usize;
+    for (&(source, seq), f) in tags.iter().zip(&flows) {
+        let h = history.entry(source).or_default();
+        let idx = seq as usize;
         if h.len() <= idx {
             h.resize(idx + 1, SimTime::ZERO);
         }
-        h[idx] = r.started_at;
+        h[idx] = f.started_at;
     }
     let fire = |source: u32, seq: u32| -> SimTime {
         if seq == 0 {
@@ -1114,18 +1124,18 @@ fn sort_flows_into_creation_order(flows: &mut [FlowRecord]) {
             history[&source][(seq - 1) as usize]
         }
     };
-    flows.sort_by(|a, b| {
-        if a.source == b.source {
-            return a.seq.cmp(&b.seq);
+    let mut tagged: Vec<((u32, u32), FlowOutcome)> = tags.into_iter().zip(flows).collect();
+    tagged.sort_by(|&((sa, mut ja), _), &((sb, mut jb), _)| {
+        if sa == sb {
+            return ja.cmp(&jb);
         }
-        let (mut ja, mut jb) = (a.seq, b.seq);
         loop {
-            match fire(a.source, ja).cmp(&fire(b.source, jb)) {
+            match fire(sa, ja).cmp(&fire(sb, jb)) {
                 Ordering::Equal => {}
                 o => return o,
             }
             match (ja, jb) {
-                (0, 0) => return a.source.cmp(&b.source),
+                (0, 0) => return sa.cmp(&sb),
                 (0, _) => return Ordering::Less,
                 (_, 0) => return Ordering::Greater,
                 _ => {
@@ -1135,4 +1145,5 @@ fn sort_flows_into_creation_order(flows: &mut [FlowRecord]) {
             }
         }
     });
+    tagged.into_iter().map(|(_, f)| f).collect()
 }

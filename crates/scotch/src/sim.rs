@@ -35,10 +35,28 @@ pub(crate) enum Event {
         port: PortId,
         packet: Packet,
     },
-    /// A source host emits packet `seq` of flow `flow_idx`.
-    EmitPacket { flow_idx: usize, seq: u32 },
-    /// Pull the next arrival from workload source `source_idx`.
+    /// Host `src_host` emits packet `seq` of flow `flow_idx`. The event
+    /// carries the flow's spec, so emission reads no flow record beyond
+    /// bumping its `emitted` count.
+    EmitPacket {
+        flow_idx: u32,
+        seq: u32,
+        src_host: NodeId,
+        spec: FlowSpec,
+    },
+    /// Pull the first arrival from workload source `source_idx` (the t = 0
+    /// seed; every later arrival is drawn by a [`Event::FlowStart`]).
     SourceNext { source_idx: usize },
+    /// Flow `flow_idx` of workload source `source_idx` starts: emit its
+    /// packet 0, then pull the source's next arrival. One event for what
+    /// would otherwise be an `EmitPacket` seq 0 and a `SourceNext` pushed
+    /// back to back for the same instant, so the pop order is the same.
+    FlowStart {
+        source_idx: u32,
+        flow_idx: u32,
+        src_host: NodeId,
+        spec: FlowSpec,
+    },
     /// A switch→controller message arrives at the controller (subject to
     /// the optional controller-capacity gate).
     ///
@@ -143,13 +161,14 @@ const PROFILE_KIND_PACKET_IN: usize = 22;
 const PROFILE_KIND_FLOWMOD: usize = 23;
 
 impl Event {
-    /// Dense variant index (matches the first 21 rows of
-    /// [`PROFILE_KIND_NAMES`]).
+    /// Profile row of the event's variant (one of the first 21 rows of
+    /// [`PROFILE_KIND_NAMES`]). `FlowStart` shares the `source_next` row:
+    /// it is the arrival draw with packet 0's emission folded in.
     pub(crate) fn kind(&self) -> usize {
         match self {
             Event::Arrive { .. } => 0,
             Event::EmitPacket { .. } => 1,
-            Event::SourceNext { .. } => 2,
+            Event::SourceNext { .. } | Event::FlowStart { .. } => 2,
             Event::CtrlFromSwitch { .. } => 3,
             Event::CtrlProcessed { .. } => 4,
             Event::CtrlToSwitch { .. } => 5,
@@ -168,6 +187,17 @@ impl Event {
             Event::ClusterHandoffDone => 18,
             Event::RecoverReplica { .. } => 19,
             Event::ClearCtrlPartition => 20,
+        }
+    }
+
+    /// Model events this queue event stands for: 2 for a `FlowStart` (the
+    /// packet-0 emission plus the arrival draw), 1 for everything else.
+    /// `Report::events_processed` counts these, so fusing the pair into
+    /// one queue event leaves the canonical report unchanged.
+    pub(crate) fn model_events(&self) -> u64 {
+        match self {
+            Event::FlowStart { .. } => 2,
+            _ => 1,
         }
     }
 }
@@ -256,7 +286,9 @@ impl ChaosState {
 
     pub(crate) fn tally_in_flight(&mut self, ev: &Event) {
         match ev {
-            Event::Arrive { .. } | Event::EmitPacket { .. } => self.in_flight_packets += 1,
+            Event::Arrive { .. } | Event::EmitPacket { .. } | Event::FlowStart { .. } => {
+                self.in_flight_packets += 1
+            }
             Event::CtrlFromSwitch { msg, .. } | Event::CtrlProcessed { msg, .. } => {
                 self.in_flight_rx[ctrl_rx_kind(msg)] += 1;
             }
@@ -345,7 +377,7 @@ impl FlowIndex {
         }
     }
 
-    fn insert(&mut self, id: scotch_net::FlowId, idx: usize) {
+    fn insert(&mut self, id: scotch_net::FlowId, idx: u32) {
         let stream = (id.0 >> 48) as usize;
         let seq = (id.0 & Self::SEQ_MASK) as usize;
         if stream >= self.streams.len() {
@@ -355,26 +387,8 @@ impl FlowIndex {
         if seq >= v.len() {
             v.resize(seq + 1, 0);
         }
-        v[seq] = u32::try_from(idx + 1).expect("flow record index fits u32");
+        v[seq] = idx + 1;
     }
-}
-
-pub(crate) struct FlowRecord {
-    pub(crate) spec: FlowSpec,
-    pub(crate) src_host: NodeId,
-    pub(crate) started_at: SimTime,
-    pub(crate) emitted: u32,
-    pub(crate) delivered: u32,
-    pub(crate) delivered_bytes: u64,
-    pub(crate) first_delivered: Option<SimTime>,
-    pub(crate) last_delivered: Option<SimTime>,
-    pub(crate) served_by: Option<scotch_controller::flowdb::FlowPath>,
-    /// Global index of the creating workload source and the flow's ordinal
-    /// within that source. Unused sequentially; the shard driver merges
-    /// per-shard flow lists back into the sequential creation order from
-    /// `(source, seq)` plus the per-source `started_at` history.
-    pub(crate) source: u32,
-    pub(crate) seq: u32,
 }
 
 /// One event bound for another shard (or for the canonical inter-shard
@@ -528,7 +542,19 @@ pub struct Simulation {
     pub(crate) source_ids: Vec<u32>,
     /// Next per-source flow ordinal (indexed like `sources`).
     pub(crate) source_seq: Vec<u32>,
-    pub(crate) flows: Vec<FlowRecord>,
+    /// The flow ledger: one report-ready outcome per generated flow, in
+    /// creation order, moved into [`Report::flows`] as is.
+    pub(crate) flows: Vec<FlowOutcome>,
+    /// `(global source index, per-source ordinal)` of each entry of
+    /// `flows`. Filled on shard lanes only: the shard driver merges the
+    /// lanes' ledgers back into the sequential creation order from these
+    /// tags plus each source's `started_at` history.
+    pub(crate) flow_tags: Vec<(u32, u32)>,
+    /// Expected concurrent flows, from the scenario's workload spec. The
+    /// controller's per-flow state is reserved to this size when the run
+    /// starts rather than when the scenario is built, so building touches
+    /// no run-sized memory (DESIGN.md §9, "Flow ledger").
+    pub(crate) flow_capacity_hint: usize,
     pub(crate) flow_index: FlowIndex,
     pub(crate) tracked: FxHashMap<scotch_net::FlowId, Vec<(SimTime, SimDuration)>>,
     pub(crate) captures: NodeMap<crate::pcap::PcapCapture>,
@@ -617,6 +643,8 @@ impl Simulation {
             source_ids: Vec::new(),
             source_seq: Vec::new(),
             flows: Vec::new(),
+            flow_tags: Vec::new(),
+            flow_capacity_hint: 0,
             flow_index: FlowIndex::default(),
             tracked: FxHashMap::default(),
             captures: NodeMap::new(),
@@ -1603,16 +1631,12 @@ impl Simulation {
         }
         if let Some(idx) = self.flow_index.get(packet.flow_id) {
             let rec = &mut self.flows[idx];
-            rec.delivered += 1;
-            rec.delivered_bytes += packet.size as u64;
-            if rec.first_delivered.is_none() {
-                rec.first_delivered = Some(now);
+            if rec.record_delivery(now, packet.size) {
                 // The flowdb lookup only matters on first delivery; keeping
                 // it out of the per-packet path saves a hash per event.
                 rec.served_by = self.app.flowdb.get(&packet.key).map(|i| i.path);
             }
-            rec.last_delivered = Some(now);
-            if !rec.spec.is_attack {
+            if !rec.is_attack {
                 self.latency
                     .record(now.duration_since(packet.born_at).as_nanos() as f64);
             }
@@ -1626,6 +1650,8 @@ impl Simulation {
         }
     }
 
+    /// Pull the next arrival from source `source_idx`, open its ledger
+    /// entry and schedule its `FlowStart`.
     fn on_source_next(&mut self, source_idx: usize) {
         let (default_host, source) = &mut self.sources[source_idx];
         let Some(FlowArrival { at, flow }) = source.next_arrival() else {
@@ -1636,52 +1662,39 @@ impl Simulation {
             .get(&flow.key.src)
             .copied()
             .unwrap_or(*default_host);
-        let idx = self.flows.len();
-        self.flow_index.insert(flow.id, idx);
+        let flow_idx = u32::try_from(self.flows.len()).expect("flow ledger index fits u32");
+        self.flow_index.insert(flow.id, flow_idx);
         let seq = self.source_seq[source_idx];
         self.source_seq[source_idx] = seq + 1;
-        self.flows.push(FlowRecord {
-            spec: flow,
-            src_host,
-            started_at: at,
-            emitted: 0,
-            delivered: 0,
-            delivered_bytes: 0,
-            first_delivered: None,
-            last_delivered: None,
-            served_by: None,
-            source: self.source_ids[source_idx],
-            seq,
-        });
+        if self.shard.is_some() {
+            self.flow_tags.push((self.source_ids[source_idx], seq));
+        }
+        self.flows.push(FlowOutcome::started(&flow, at));
         self.events.push(
             at,
-            Event::EmitPacket {
-                flow_idx: idx,
-                seq: 0,
+            Event::FlowStart {
+                source_idx: source_idx as u32,
+                flow_idx,
+                src_host,
+                spec: flow,
             },
         );
-        self.events.push(at, Event::SourceNext { source_idx });
     }
 
-    fn on_emit(&mut self, now: SimTime, flow_idx: usize, seq: u32) {
+    fn on_emit(&mut self, now: SimTime, flow_idx: u32, seq: u32, src_host: NodeId, spec: FlowSpec) {
         debug_assert!(
             self.shard
                 .as_ref()
-                .is_none_or(|c| c.part.shard_of(self.flows[flow_idx].src_host) == c.shard),
+                .is_none_or(|c| c.part.shard_of(src_host) == c.shard),
             "flow emitted on a lane that does not own its source host"
         );
-        let (packet, src_host, more) = {
-            let rec = &mut self.flows[flow_idx];
-            let spec = &rec.spec;
-            let mut p = if seq == 0 {
-                Packet::flow_start(spec.key, spec.id, now).with_size(spec.packet_size)
-            } else {
-                Packet::data(spec.key, spec.id, now, seq, spec.packet_size)
-            };
-            p.is_attack = spec.is_attack;
-            rec.emitted += 1;
-            (p, rec.src_host, seq + 1 < spec.packets)
+        let mut packet = if seq == 0 {
+            Packet::flow_start(spec.key, spec.id, now).with_size(spec.packet_size)
+        } else {
+            Packet::data(spec.key, spec.id, now, seq, spec.packet_size)
         };
+        packet.is_attack = spec.is_attack;
+        self.flows[flow_idx as usize].emitted += 1;
         self.journey_mark(now, &packet, JourneyPoint::Emit, src_host.0, 0);
         // Hosts have exactly one uplink; `run()` validated its existence at
         // startup, so a miss here is an internal invariant violation.
@@ -1691,13 +1704,14 @@ impl Simulation {
             .next()
             .expect("scenario error: emitting host has no uplink port");
         self.transmit(now, src_host, uplink, packet);
-        if more {
-            let gap = self.flows[flow_idx].spec.packet_interval;
+        if seq + 1 < spec.packets {
             self.events.push(
-                now + gap,
+                now + spec.packet_interval,
                 Event::EmitPacket {
                     flow_idx,
                     seq: seq + 1,
+                    src_host,
+                    spec,
                 },
             );
         }
@@ -1717,6 +1731,9 @@ impl Simulation {
     /// expiry sweep runs on every lane (each lane sweeps its own devices)
     /// and each lane seeds the sources it owns.
     pub(crate) fn start(&mut self) {
+        if self.flow_capacity_hint > 0 {
+            self.app.reserve_flow_capacity(self.flow_capacity_hint);
+        }
         for (host, _) in self.host_ip.iter() {
             assert!(
                 self.topo.port_iter(host).next().is_some(),
@@ -1770,7 +1787,7 @@ impl Simulation {
                 overflow_event = Some(ev);
                 break;
             }
-            processed += 1;
+            processed += ev.model_events();
             self.process_event(now, ev);
         }
 
@@ -1795,7 +1812,7 @@ impl Simulation {
         let mut processed = 0u64;
         while self.events.peek_time().is_some_and(|t| t < bound) {
             let (now, ev) = self.events.pop().expect("peeked event present");
-            processed += 1;
+            processed += ev.model_events();
             if matches!(ev, Event::ExpirySweep) {
                 if let Some(ctx) = self.shard.as_mut() {
                     ctx.sweep_pops += 1;
@@ -1825,8 +1842,22 @@ impl Simulation {
         }
         match ev {
             Event::Arrive { node, port, packet } => self.on_arrive(now, node, port, packet),
-            Event::EmitPacket { flow_idx, seq } => self.on_emit(now, flow_idx, seq),
+            Event::EmitPacket {
+                flow_idx,
+                seq,
+                src_host,
+                spec,
+            } => self.on_emit(now, flow_idx, seq, src_host, spec),
             Event::SourceNext { source_idx } => self.on_source_next(source_idx),
+            Event::FlowStart {
+                source_idx,
+                flow_idx,
+                src_host,
+                spec,
+            } => {
+                self.on_emit(now, flow_idx, 0, src_host, spec);
+                self.on_source_next(source_idx as usize);
+            }
             Event::CtrlFromSwitch { from, msg } => {
                 if now < self.chaos.stall_until {
                     // Controller outage: defer the message (order among
@@ -2338,23 +2369,7 @@ impl Simulation {
 
         Report {
             duration: until.duration_since(SimTime::ZERO),
-            flows: self
-                .flows
-                .into_iter()
-                .map(|r| FlowOutcome {
-                    id: r.spec.id,
-                    key: r.spec.key,
-                    is_attack: r.spec.is_attack,
-                    emitted: r.emitted,
-                    intended: r.spec.packets,
-                    delivered: r.delivered,
-                    delivered_bytes: r.delivered_bytes,
-                    started_at: r.started_at,
-                    first_delivered: r.first_delivered,
-                    last_delivered: r.last_delivered,
-                    served_by: r.served_by,
-                })
-                .collect(),
+            flows: self.flows,
             app: self.app.stats(),
             switches,
             vswitches,
@@ -2372,5 +2387,18 @@ impl Simulation {
             profile,
             shard_profile: self.epoch_profiler,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn event_stays_72_bytes() {
+        // The queue's payload slab holds one `Event` per pending event;
+        // `EmitPacket` and `FlowStart` carry a whole `FlowSpec` and must not
+        // outgrow `Arrive`.
+        assert!(std::mem::size_of::<Event>() <= 72);
     }
 }

@@ -1,52 +1,71 @@
-//! Allocation budget of the controller path (DESIGN.md §9, "Control path").
+//! Allocation budgets of the simulation's hot paths (DESIGN.md §9,
+//! "Control path" and "Flow ledger").
 //!
 //! Under Scotch's overlay flood every punted flow costs a Packet-In
 //! decision plus a few FlowMods. Rule actions are inline, flow-table index
 //! buckets hold their first slot inline, the controller writes into a
 //! reused command buffer and the simulation recycles message boxes, so the
-//! steady-state cycle allocates next to nothing. This test pins that with
-//! a counting global allocator (this test binary only): heap allocations
-//! made inside `Simulation::run`, per Packet-In the controller received,
-//! must stay within a small budget. Before the allocation-free control
-//! path the same run made about 16 per Packet-In.
-
+//! steady-state cycle allocates next to nothing. Before the allocation-free
+//! control path the same run made about 16 allocations per Packet-In.
+//!
+//! Under the Fig. 3 spoofed flood every packet is a new flow, so the
+//! per-flow ledger is what grows: one 72-byte report-ready `FlowOutcome`
+//! per flow, plus its slot in the flow-id index. Before the lean ledger
+//! each flow held a 120-byte record that was copied into an 88-byte
+//! outcome at report time.
+//!
+//! A counting global allocator (this test binary only) measures both:
+//! allocation calls, and live heap bytes with their high-water mark.
 use scotch::scenario::Scenario;
 use scotch_sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Counts allocation calls (`alloc`, `alloc_zeroed`, `realloc`) made on
-/// the calling thread, so the test harness's own threads never leak into
-/// the measurement.
+/// Counts allocation calls (`alloc`, `alloc_zeroed`, `realloc`) and live
+/// heap bytes with their high-water mark, all on the calling thread, so the
+/// test harness's own threads never leak into the measurement.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Record an allocation call that changes live bytes by `delta`.
+fn bump(delta: i64) {
     // `try_with`: the allocator can run while the thread's locals are
     // being torn down.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    resize(delta);
+}
+
+fn resize(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(now)));
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        resize(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -56,6 +75,17 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Restart the high-water mark at the current live bytes; returns them.
+fn reset_peak() -> i64 {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(live));
+    live
+}
+
+fn peak() -> i64 {
+    PEAK.with(Cell::get)
 }
 
 /// Most heap allocations `Simulation::run` may make per Packet-In the
@@ -83,5 +113,34 @@ fn overlay_flood_controller_path_stays_within_allocation_budget() {
         per <= BUDGET_PER_PACKET_IN,
         "{during} allocations in Simulation::run for {packet_ins} Packet-Ins \
          = {per:.2} per Packet-In (budget {BUDGET_PER_PACKET_IN})"
+    );
+}
+
+/// Most heap bytes live at once from building the scenario to the
+/// finished report, above what was live before, per flow the run
+/// generated. The flow ledger's `Vec` doubles, so its capacity is up to 2x
+/// its length; with the controller's flow-state reservation the 72-byte
+/// outcomes come to about 182 bytes per flow here, the 120-byte records
+/// they replaced to about 245.
+const BUDGET_PEAK_BYTES_PER_FLOW: f64 = 200.0;
+
+#[test]
+fn ddos_flood_peak_heap_per_flow_stays_within_budget() {
+    let horizon = SimTime::from_secs(10);
+    let base = reset_peak();
+    let sim = Scenario::single_switch(scotch_switch::SwitchProfile::pica8_pronto_3780())
+        .with_clients(100.0)
+        .with_attack(20_000.0)
+        .build_until(20141202, horizon);
+    let report = sim.run(horizon);
+    let peak = (peak() - base) as f64;
+    let flows = report.flows.len() as f64;
+    // The flood must actually generate a flow per spoofed packet.
+    assert!(flows > 150_000.0, "only {flows} flows generated");
+    let per = peak / flows;
+    assert!(
+        per <= BUDGET_PEAK_BYTES_PER_FLOW,
+        "{peak} peak live heap bytes building and running the scenario for \
+         {flows} flows = {per:.1} per flow (budget {BUDGET_PEAK_BYTES_PER_FLOW})"
     );
 }

@@ -44,10 +44,10 @@ proptest! {
     fn prop_delivery_causality(seed in 0u64..1000) {
         let report = short_run(1000.0, 50.0, 3, seed);
         for f in &report.flows {
-            if let Some(first) = f.first_delivered {
+            if let Some(first) = f.first_delivered() {
                 prop_assert!(first >= f.started_at);
             }
-            if let (Some(first), Some(last)) = (f.first_delivered, f.last_delivered) {
+            if let (Some(first), Some(last)) = (f.first_delivered(), f.last_delivered()) {
                 prop_assert!(last >= first);
             }
         }

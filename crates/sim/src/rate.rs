@@ -183,6 +183,12 @@ impl Ewma {
         self.rate
     }
 
+    /// The estimate as of the last recorded event, before any decay: an
+    /// upper bound on [`Ewma::value`] at every later instant.
+    pub fn undecayed(&self) -> f64 {
+        self.rate
+    }
+
     /// The rate estimate decayed to `now` without recording an event.
     pub fn value(&self, now: SimTime) -> f64 {
         match self.last {

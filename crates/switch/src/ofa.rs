@@ -191,6 +191,13 @@ impl Ofa {
         self.insert_rate.value(now)
     }
 
+    /// Whether [`Ofa::attempted_insert_rate`] at `now` is at least `knee`.
+    /// Decay only lowers the estimate, so an undecayed rate already below
+    /// the knee answers without computing the decay.
+    pub fn insert_rate_reaches(&self, now: SimTime, knee: f64) -> bool {
+        self.insert_rate.undecayed() >= knee && self.insert_rate.value(now) >= knee
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> OfaStats {
         self.stats
@@ -301,6 +308,26 @@ mod tests {
         let mut ofa = pica8();
         let ok = drive_inserts(&mut ofa, 2000.0, 10.0);
         assert!((850.0..1100.0).contains(&ok), "successful rate {ok}/s");
+    }
+
+    #[test]
+    fn insert_rate_reaches_agrees_with_the_decayed_estimate() {
+        let mut ofa = pica8();
+        let knees = [0.0, 1.0, 400.0, 999.0, 1000.0, 1300.0, 1e6];
+        for i in 0..2000u64 {
+            // 1000 inserts/s for 2 s, probed at and after each insert.
+            let now = SimTime::from_nanos(i * 1_000_000);
+            ofa.offer_rule_insert(now);
+            for probe in [now, now + SimDuration::from_micros(700)] {
+                for knee in knees {
+                    assert_eq!(
+                        ofa.insert_rate_reaches(probe, knee),
+                        ofa.attempted_insert_rate(probe) >= knee,
+                        "knee {knee} at {probe:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl PhysicalSwitch {
         let Some(knee) = self.profile.interaction_knee else {
             return false;
         };
-        if self.ofa.attempted_insert_rate(now) < knee {
+        if !self.ofa.insert_rate_reaches(now, knee) {
             return false;
         }
         let p_drop = (1.0 - self.profile.collapsed_pps / offered).clamp(0.0, 1.0);
