@@ -20,11 +20,9 @@
 //!   record; [`Sweep::manifest_normalized`] strips the timing fields so CI
 //!   can diff two runs of the same sweep byte-for-byte.
 
-pub mod epoch;
 pub mod json;
 pub mod manifest;
 pub mod pool;
 
-pub use epoch::{lockstep, lockstep_timed, LockstepStats};
 pub use json::Json;
 pub use pool::{Job, JobCtx, JobResult, Sweep, SweepRunner};

@@ -52,13 +52,6 @@ pub fn build<T>(sweep: &Sweep<T>, with_timing: bool) -> Json {
                 job = job
                     .set("wall_ms", r.wall.as_secs_f64() * 1e3)
                     .set("units_per_sec", r.units_per_sec());
-                if !r.timings.is_empty() {
-                    let mut timing = Json::obj();
-                    for (name, value) in &r.timings {
-                        timing = timing.set(name, *value);
-                    }
-                    job = job.set("timing", timing);
-                }
             }
             job
         })

@@ -7,8 +7,6 @@
 //! scotch-cli sweep [SWEEP OPTIONS]
 //! scotch-cli bench hotpath [BENCH OPTIONS]
 //! scotch-cli chaos [SCENARIO OPTIONS] [CHAOS OPTIONS]
-//! scotch-cli determinism [DETERMINISM OPTIONS]
-//! scotch-cli shards [SCENARIO OPTIONS] [SHARDS OPTIONS]
 //!
 //! Topology:
 //!   --scenario <datacenter|single|multirack>   (default: datacenter)
@@ -42,17 +40,9 @@
 //!   --json              machine-readable summary on stdout
 //!   --pcap <NODE> <FILE>  capture packets arriving at the named node
 //!
-//! Sharded execution (multirack only; other topologies fall back to the
-//! sequential engine — the canonical report is identical either way):
-//!   --shards <N>        partition racks across up to N shards (default: 1)
-//!   --threads <N>       lockstep worker threads, 0 = one per shard
-//!   --interrack-us <N>  ToR-spine propagation in µs (widens the
-//!                       conservative lookahead window)
+//! Multirack fabric (ignored by the other topologies):
+//!   --interrack-us <N>  ToR-spine propagation in µs
 //!   --rack-clients <RATE>  per-rack probe clients, flows/s each
-//!   --profile-shards    wall-clock per-lane busy/stall profiling of the
-//!                       lockstep driver (observability-only, like
-//!                       bench --profile; prints a lane table after the
-//!                       run and never perturbs the canonical report)
 //!
 //! Sweep (multi-seed batches on the shared parallel runner):
 //!   --smoke             CI preset: tiny horizons, 2 seeds, all scenarios
@@ -70,32 +60,8 @@
 //!                       1/256} x seeds on the elephant/DDoS datacenter
 //!                       scenario; KPIs cover migration-decision latency
 //!                       and monitor load (the DESIGN.md §13 figure data)
-//!   --scaling           replace the grid with the shard-scaling sweep:
-//!                       shard counts {1, 2, 4, 8} x two multirack shapes,
-//!                       each job profiled; deterministic KPIs (events,
-//!                       epochs, handoffs, hub share) plus wall-clock
-//!                       speedup/utilization in the manifest's timing
-//!                       object, and a speedup-vs-utilization table on
-//!                       stderr (DESIGN.md §15)
 //!   --quiet             suppress per-job progress lines
 //! ```
-//!
-//! Shards (execution-plane scaling report for one sharded run; accepts
-//! every top-level scenario/workload/control option above — when none are
-//! given it defaults to the determinism matrix's `multirack_parallel`
-//! shape at 2 simulated seconds — plus):
-//!   --shards <N>        shard count (values below 2 are bumped to the
-//!                       default 4; the report needs a sharded run)
-//!   --out <FILE>        also write the JSON report here
-//!   --check             warn (never fail) when the hub shard holds more
-//!                       than 60% of lane events or mean lane idle
-//!                       exceeds 50% — the CI health probe
-//!
-//! The table reports per-lane events/busy/stall/utilization, barrier-stall
-//! share, the epoch-width histogram, the inter-shard message matrix, and
-//! the hub-shard share. Sim-time columns are deterministic per
-//! `(scenario, seed, shard count)`; wall-clock columns are machine-
-//! dependent observability.
 //!
 //! Trace (flight-recorder dump of one run; accepts every top-level
 //! scenario/workload/control option above, plus):
@@ -106,10 +72,7 @@
 //!                       rule installs, Packet-Ins)
 //!   --capacity <N>      trace ring capacity in records   (default: 65536)
 //!   --limit <N>         emit only the first N records     (default: all)
-//!   --summary           print per-category/per-kind counts to stderr;
-//!                       with --shards N each kind also gets a per-shard
-//!                       attribution column (sK:count, -:count for events
-//!                       with no node, e.g. controller-side perturbations)
+//!   --summary           print per-category/per-kind counts to stderr
 //!
 //! Explain (causal journey timelines with latency decomposition; accepts
 //! every top-level scenario/workload/control option above, plus):
@@ -124,9 +87,7 @@
 //!   --slo-table <FILE>  check a table file instead (see scotch::slo)
 //!
 //! `explain` output is a pure function of `(scenario, seed, rate)`:
-//! journey selection is a stateless hash and the canonical mark stream
-//! excludes shard attribution, so the same run prints byte-identically at
-//! any `--shards` count.
+//! journey selection is a stateless hash of the flow id.
 //!
 //! Bench (single-process hot-path throughput on a fixed scenario set):
 //!   --out <FILE>        where to write the fresh numbers
@@ -142,15 +103,6 @@
 //!                       journey tracing at the default sampled rate
 //!                       (warn >2%, exit 1 above 5%) against an
 //!                       observability-off baseline
-//!   --shards <N>        run every scenario on the sharded engine with up
-//!                       to N shards, and add the `multirack_sharded`
-//!                       fabric (wide lookahead, per-rack sources) to the
-//!                       measured set
-//!   --profile-shards    with --shards N: print the per-lane busy/stall
-//!                       profile of the `multirack_sharded` fabric, then
-//!                       measure the profiler's own overhead interleaved
-//!                       (profiling off vs on, median paired ratio; warns
-//!                       above 2%, exits 1 above 5%)
 //!   --sampling-rate <P> rate for the `monitor_sampled_smoke` scenario
 //!                       (default: 1/64; the exhaustive twin always runs)
 //!   --gate              exit 1 when any scenario regresses more than 10%
@@ -178,26 +130,7 @@
 //!                       `crates/scotch/tests/fixtures/<NAME>.plan`
 //!
 //! `chaos` exits 0 on a clean run, 1 when an invariant was violated
-//! (or `--search` found a failing plan), 2 on usage errors. With
-//! `--shards N` (N > 1) the same `(scenario, seed, plan)` is re-run on the
-//! sharded engine and the canonical reports are byte-compared; a
-//! divergence also exits 1. (`--search` stays sequential.)
-//!
-//! Determinism (shard-count invariance matrix; the local mirror of CI's
-//! `determinism-matrix` job):
-//!   --shards <CSV>      shard counts to compare vs sequential
-//!                       (default: 2,4,8)
-//!   --threads <N>       lockstep worker threads, 0 = one per shard
-//!   --duration <SECS>   simulated seconds per case       (default: 2)
-//!   --plan <FILE>       pinned fault plan for the chaos case (default:
-//!                       a generated plan)
-//!
-//! `determinism` runs each matrix scenario sequentially, then at every
-//! requested shard count, and byte-compares the canonical reports; any
-//! divergence exits 1. The matrix includes a sampled-telemetry case
-//! (rate 1/64), a 3-replica controller-cluster case under the fault plan
-//! plus a scripted failover, and one extra cell checks that
-//! `sampled { rate: 1.0 }` reproduces the exhaustive report byte-for-byte.
+//! (or `--search` found a failing plan), 2 on usage errors.
 //!
 //! `sweep` fans each `(scenario, seed)` pair out on the work-stealing
 //! runner, prints one progress line per finished job, and writes a
@@ -234,11 +167,8 @@ struct Options {
     duration: f64,
     json: bool,
     pcap: Option<(String, String)>,
-    shards: usize,
-    threads: usize,
     interrack_us: Option<u64>,
     rack_clients: Option<f64>,
-    profile_shards: bool,
     controllers: u32,
     sync_latency_us: Option<u64>,
     failover: Option<f64>,
@@ -264,11 +194,8 @@ impl Default for Options {
             duration: 10.0,
             json: false,
             pcap: None,
-            shards: 1,
-            threads: 0,
             interrack_us: None,
             rack_clients: None,
-            profile_shards: false,
             controllers: 1,
             sync_latency_us: None,
             failover: None,
@@ -318,19 +245,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--seed" => o.seed = next(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--duration" => o.duration = parse_duration(&next(&mut i)?)?,
             "--json" => o.json = true,
-            "--shards" => {
-                o.shards = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if o.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            "--threads" => {
-                o.threads = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
             "--interrack-us" => {
                 o.interrack_us = Some(
                     next(&mut i)?
@@ -341,7 +255,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--rack-clients" => {
                 o.rack_clients = Some(parse_rate("--rack-clients", &next(&mut i)?, false)?)
             }
-            "--profile-shards" => o.profile_shards = true,
             "--controllers" => {
                 o.controllers = next(&mut i)?
                     .parse()
@@ -631,16 +544,9 @@ fn trace_main(args: &[String]) -> i32 {
     };
 
     let horizon = SimTime::from_secs_f64(opts.duration);
-    let sim = build_scenario(&opts)
+    let report = build_scenario(&opts)
         .with_tracing(config)
-        .build_until(opts.seed, horizon);
-    // With --shards, the summary attributes each record to the shard that
-    // would own its node under the same rack partition the sharded engine
-    // uses (the trace itself is always recorded hub-side).
-    let node_count = sim.topo.node_count();
-    let partition = (opts.shards > 1)
-        .then(|| scotch_net::Partition::by_regions(node_count, &sim.regions, opts.shards));
-    let report = sim.run(horizon);
+        .run(horizon, opts.seed);
 
     let jsonl = report.trace_jsonl();
     let emitted: String = if topts.limit > 0 {
@@ -668,24 +574,12 @@ fn trace_main(args: &[String]) -> i32 {
 
     if topts.summary {
         let records = report.trace.records();
-        let shards = partition.as_ref().map(|p| p.shards() as usize).unwrap_or(0);
-        // Per kind: category, total, and (with --shards) per-shard counts
-        // plus one trailing slot for records with no node attribution
-        // (controller-side events like ctrl_msg_perturbed).
-        let mut by_kind: Vec<(&'static str, &'static str, u64, Vec<u64>)> = Vec::new();
+        let mut by_kind: Vec<(&'static str, &'static str, u64)> = Vec::new();
         for rec in &records {
             let kind = rec.event.kind_name();
-            if !by_kind.iter().any(|(k, ..)| *k == kind) {
-                by_kind.push((kind, rec.event.category().name(), 0, vec![0; shards + 1]));
-            }
-            let slot = by_kind.iter_mut().find(|(k, ..)| *k == kind).unwrap();
-            slot.2 += 1;
-            if let Some(part) = &partition {
-                let idx = trace_event_node(rec.event)
-                    .filter(|n| (*n as usize) < node_count)
-                    .map(|n| part.shard_of(scotch_net::NodeId(n)) as usize)
-                    .unwrap_or(shards);
-                slot.3[idx] += 1;
+            match by_kind.iter_mut().find(|(k, ..)| *k == kind) {
+                Some(slot) => slot.2 += 1,
+                None => by_kind.push((kind, rec.event.category().name(), 1)),
             }
         }
         by_kind.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
@@ -695,34 +589,11 @@ fn trace_main(args: &[String]) -> i32 {
             report.trace.dropped(),
             topts.capacity
         );
-        for (kind, cat, n, per_shard) in by_kind {
-            if partition.is_some() {
-                let mut cells: Vec<String> = per_shard[..shards]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| **c > 0)
-                    .map(|(s, c)| format!("s{s}:{c}"))
-                    .collect();
-                if per_shard[shards] > 0 {
-                    cells.push(format!("-:{}", per_shard[shards]));
-                }
-                eprintln!("  {n:>8}  {kind} [{cat}]  {}", cells.join(" "));
-            } else {
-                eprintln!("  {n:>8}  {kind} [{cat}]");
-            }
+        for (kind, cat, n) in by_kind {
+            eprintln!("  {n:>8}  {kind} [{cat}]");
         }
     }
     0
-}
-
-/// The node a trace event is attributed to, when it has one (the shard
-/// column of `trace --summary`).
-fn trace_event_node(event: scotch_sim::trace::TraceEvent) -> Option<u32> {
-    event
-        .fields()
-        .into_iter()
-        .find(|(name, _)| matches!(*name, "switch" | "node" | "dead"))
-        .map(|(_, v)| v as u32)
 }
 
 /// Parsed `explain` subcommand flags (everything else is forwarded to
@@ -852,9 +723,7 @@ fn node_name(names: &[String], node: u32) -> &str {
     names.get(node as usize).map(String::as_str).unwrap_or("-")
 }
 
-/// Print one journey's per-stage timeline. The layout is shard-free on
-/// purpose: the same `(scenario, seed, rate)` must print byte-identically
-/// at any `--shards` count.
+/// Print one journey's per-stage timeline.
 fn print_timeline(view: &JourneyView, names: &[String]) {
     let outcome = match view.terminal() {
         Some(m) if m.point == JourneyPoint::Deliver => "delivered".to_string(),
@@ -984,12 +853,7 @@ fn explain_main(args: &[String]) -> i32 {
     let names: Vec<String> = (0..sim.topo.node_count() as u32)
         .map(|n| sim.topo.name(scotch_net::NodeId(n)).to_string())
         .collect();
-    // Same sharded-engine clamp as the top-level run path.
-    let report = if opts.shards > 1 && opts.trace.is_none() {
-        sim.run_sharded(horizon, opts.shards, opts.threads)
-    } else {
-        sim.run(horizon)
-    };
+    let report = sim.run(horizon);
 
     let views = report.journey_views();
     let d = report.journey_decomposition();
@@ -1083,7 +947,6 @@ struct SweepOptions {
     out: String,
     sampling_rate: Option<f64>,
     sampling_ablation: bool,
-    scaling: bool,
     quiet: bool,
 }
 
@@ -1101,7 +964,6 @@ impl Default for SweepOptions {
             out: "results".into(),
             sampling_rate: None,
             sampling_ablation: false,
-            scaling: false,
             quiet: false,
         }
     }
@@ -1144,7 +1006,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
                 o.sampling_rate = Some(parse_sampling_rate(&next(&mut i)?)?);
             }
             "--sampling-ablation" => o.sampling_ablation = true,
-            "--scaling" => o.scaling = true,
             "--quiet" => o.quiet = true,
             "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown sweep option {other}")),
@@ -1303,80 +1164,6 @@ fn ablation_jobs(o: &SweepOptions) -> Vec<scotch_runner::Job<()>> {
     jobs
 }
 
-/// The shard counts the `--scaling` sweep fans out.
-const SCALING_SHARDS: [usize; 4] = [1, 2, 4, 8];
-
-/// The two multirack shapes the `--scaling` sweep measures: the
-/// determinism matrix's parallel shape and the wider bench fabric.
-#[allow(clippy::type_complexity)]
-fn scaling_shapes() -> Vec<(&'static str, fn() -> Scenario)> {
-    vec![
-        ("multirack_parallel", || {
-            Scenario::multirack(4, 1)
-                .with_interrack_propagation(SimDuration::from_micros(200))
-                .with_rack_clients(150.0)
-                .with_clients(80.0)
-                .with_attack(400.0)
-        }),
-        ("multirack_fabric", || {
-            Scenario::multirack(8, 1)
-                .with_interrack_propagation(SimDuration::from_micros(200))
-                .with_rack_clients(400.0)
-                .with_clients(100.0)
-                .with_attack(2_000.0)
-        }),
-    ]
-}
-
-/// Build the `--scaling` job grid: shard counts [`SCALING_SHARDS`] x
-/// [`scaling_shapes`], every job profiled. The KPI columns (events,
-/// epochs, handoffs, hub share) are sim-time deterministic, so normalized
-/// manifests stay rerun-stable; speedup and utilization land in the
-/// per-job `timing` object, which normalized manifests strip.
-fn scaling_jobs(o: &SweepOptions) -> Vec<scotch_runner::Job<()>> {
-    let horizon = SimTime::from_secs_f64(o.duration);
-    let seed = o.seed_base;
-    let mut jobs = Vec::new();
-    for (shape, make) in scaling_shapes() {
-        for k in SCALING_SHARDS {
-            jobs.push(scotch_runner::Job::new(
-                format!("scaling/{shape}/x{k}"),
-                seed,
-                move |ctx: &mut scotch_runner::JobCtx| {
-                    let mut sim = make().build_until(seed, horizon);
-                    sim.enable_shard_profiling();
-                    let report = if k > 1 {
-                        sim.run_sharded(horizon, k, 0)
-                    } else {
-                        sim.run(horizon)
-                    };
-                    ctx.add_units(report.events_processed);
-                    let metric = |name: &str| report.metrics.get(name).unwrap_or(0.0);
-                    ctx.kpi("shards", k as f64);
-                    ctx.kpi("events", report.events_processed as f64);
-                    ctx.kpi("epochs", metric("shard.epochs"));
-                    ctx.kpi("handoffs", metric("shard.handoffs"));
-                    ctx.kpi("hub_share", metric("shard.hub_share_ppm") / 1e6);
-                    if let Some(p) = report.shard_profile.as_ref() {
-                        ctx.timing("mean_utilization", p.mean_utilization());
-                        if p.total_ns() > 0.0 {
-                            ctx.timing("barrier_frac", p.barrier_ns() / p.total_ns());
-                        }
-                    }
-                    ctx.metrics_snapshot(
-                        report
-                            .metrics
-                            .entries
-                            .iter()
-                            .map(|(name, value)| (name.as_str(), *value)),
-                    );
-                },
-            ));
-        }
-    }
-    jobs
-}
-
 fn sweep_main(args: &[String]) -> i32 {
     let opts = match parse_sweep_args(args) {
         Ok(o) => o,
@@ -1389,30 +1176,19 @@ fn sweep_main(args: &[String]) -> i32 {
             return if e == "help" { 0 } else { 2 };
         }
     };
-    let name = if opts.scaling {
-        "sweep-scaling"
-    } else if opts.sampling_ablation {
+    let name = if opts.sampling_ablation {
         "sweep-sampling-ablation"
     } else if opts.smoke {
         "sweep-smoke"
     } else {
         "sweep"
     };
-    let jobs = if opts.scaling {
-        scaling_jobs(&opts)
-    } else if opts.sampling_ablation {
+    let jobs = if opts.sampling_ablation {
         ablation_jobs(&opts)
     } else {
         sweep_jobs(&opts)
     };
-    if opts.scaling {
-        eprintln!(
-            "sweep '{name}': {} job(s), {} shape(s) x shard counts {:?}",
-            jobs.len(),
-            scaling_shapes().len(),
-            SCALING_SHARDS
-        );
-    } else if opts.sampling_ablation {
+    if opts.sampling_ablation {
         eprintln!(
             "sweep '{name}': {} job(s), {} telemetry mode(s) x {} seed(s)",
             jobs.len(),
@@ -1427,45 +1203,10 @@ fn sweep_main(args: &[String]) -> i32 {
             opts.seeds
         );
     }
-    // Scaling jobs each spawn their own lockstep workers; running them one
-    // at a time keeps the speedup numbers from fighting each other for
-    // cores (override with an explicit --threads).
-    let pool_threads = if opts.scaling && opts.threads == 0 {
-        1
-    } else {
-        opts.threads
-    };
     let sweep = scotch_runner::SweepRunner::new()
-        .threads(pool_threads)
+        .threads(opts.threads)
         .progress(!opts.quiet)
         .run(name, jobs);
-    if opts.scaling {
-        eprintln!("speedup vs utilization (wall-clock; x1 sequential is the reference):");
-        for (shape, _) in scaling_shapes() {
-            let wall_of = |k: usize| {
-                sweep
-                    .results
-                    .iter()
-                    .find(|r| r.id == format!("scaling/{shape}/x{k}"))
-                    .map(|r| (r.wall.as_secs_f64(), &r.timings))
-            };
-            let base = wall_of(1).map(|(w, _)| w);
-            for k in SCALING_SHARDS {
-                let Some((wall, timings)) = wall_of(k) else {
-                    continue;
-                };
-                let speedup = base
-                    .map(|b| format!("{:.2}x", b / wall.max(1e-9)))
-                    .unwrap_or_else(|| "-".into());
-                let util = timings
-                    .iter()
-                    .find(|(n, _)| n == "mean_utilization")
-                    .map(|(_, v)| format!("{v:.2}"))
-                    .unwrap_or_else(|| "-".into());
-                eprintln!("  {shape} x{k}: {wall:.3}s wall, speedup {speedup}, utilization {util}");
-            }
-        }
-    }
     let manifest = sweep.manifest();
     let dir = std::path::PathBuf::from(&opts.out);
     match scotch_runner::manifest::write(&dir, name, &manifest) {
@@ -1498,8 +1239,6 @@ struct BenchOptions {
     iters: u32,
     profile: bool,
     trace_overhead: bool,
-    profile_shards: bool,
-    shards: usize,
     sampling_rate: f64,
     gate: bool,
     quiet: bool,
@@ -1514,8 +1253,6 @@ impl Default for BenchOptions {
             iters: 3,
             profile: false,
             trace_overhead: false,
-            profile_shards: false,
-            shards: 1,
             sampling_rate: 1.0 / 64.0,
             gate: false,
             quiet: false,
@@ -1540,15 +1277,6 @@ fn parse_bench_args(args: &[String]) -> Result<BenchOptions, String> {
             "--iters" => o.iters = next(&mut i)?.parse().map_err(|e| format!("--iters: {e}"))?,
             "--profile" => o.profile = true,
             "--trace-overhead" => o.trace_overhead = true,
-            "--profile-shards" => o.profile_shards = true,
-            "--shards" => {
-                o.shards = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if o.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
             "--sampling-rate" => o.sampling_rate = parse_sampling_rate(&next(&mut i)?)?,
             "--gate" => o.gate = true,
             "--quiet" => o.quiet = true,
@@ -1643,24 +1371,6 @@ fn hotpath_scenarios(
     ]
 }
 
-/// The scenario shape sharding is built for, added to the measured set by
-/// `bench hotpath --shards N`: many racks with locally-sourced traffic and
-/// a wide inter-rack lookahead window.
-#[allow(clippy::type_complexity)]
-fn sharded_bench_scenario() -> (&'static str, Box<dyn Fn() -> Scenario>, SimTime) {
-    (
-        "multirack_sharded",
-        Box::new(|| {
-            Scenario::multirack(8, 1)
-                .with_interrack_propagation(SimDuration::from_micros(200))
-                .with_rack_clients(400.0)
-                .with_clients(100.0)
-                .with_attack(2_000.0)
-        }),
-        SimTime::from_secs(5),
-    )
-}
-
 /// One measured scenario result.
 struct BenchResult {
     name: &'static str,
@@ -1670,22 +1380,14 @@ struct BenchResult {
     events_per_sec: f64,
 }
 
-fn run_hotpath(iters: u32, quiet: bool, shards: usize, sampling_rate: f64) -> Vec<BenchResult> {
+fn run_hotpath(iters: u32, quiet: bool, sampling_rate: f64) -> Vec<BenchResult> {
     let mut results = Vec::new();
-    let mut scenarios = hotpath_scenarios(sampling_rate);
-    if shards > 1 {
-        scenarios.push(sharded_bench_scenario());
-    }
-    for (name, make, horizon) in scenarios {
+    for (name, make, horizon) in hotpath_scenarios(sampling_rate) {
         let mut best: Option<(u64, f64)> = None; // (events, wall)
         for _ in 0..iters {
             let sim = make().build_until(HOTPATH_SEED, horizon);
             let start = std::time::Instant::now();
-            let report = if shards > 1 {
-                sim.run_sharded(horizon, shards, 0)
-            } else {
-                sim.run(horizon)
-            };
+            let report = sim.run(horizon);
             let wall = start.elapsed().as_secs_f64();
             let events = report.events_processed;
             if let Some((prev_events, _)) = best {
@@ -1781,7 +1483,7 @@ fn bench_main(args: &[String]) -> i32 {
         }
     };
 
-    let results = run_hotpath(opts.iters, opts.quiet, opts.shards, opts.sampling_rate);
+    let results = run_hotpath(opts.iters, opts.quiet, opts.sampling_rate);
     let doc = scotch_runner::Json::obj()
         .set("bench", "hotpath")
         .set(
@@ -1900,34 +1602,6 @@ fn bench_main(args: &[String]) -> i32 {
         }
     }
 
-    if opts.profile_shards {
-        if opts.shards < 2 {
-            eprintln!("error: --profile-shards needs --shards N (N >= 2)");
-            return 2;
-        }
-        // Lane profile of the sharded fabric, then the profiler's own cost
-        // measured under the same interleaved median-paired-ratio
-        // discipline as the tracing/journey gates above.
-        let (name, make, horizon) = sharded_bench_scenario();
-        let mut sim = make().build_until(HOTPATH_SEED, horizon);
-        sim.enable_shard_profiling();
-        let sizes =
-            scotch_net::Partition::by_regions(sim.topo.node_count(), &sim.regions, opts.shards)
-                .shard_sizes();
-        let report = sim.run_sharded(horizon, opts.shards, 0);
-        eprintln!("shard profile ({name}, {} shards):", opts.shards);
-        print_shard_report(&report, &sizes);
-
-        let ratio = shard_profile_overhead(&*make, horizon, opts.shards, opts.iters.max(5));
-        let pct = (ratio - 1.0) * 100.0;
-        eprintln!("shard-profiling overhead ({name}): {pct:+.1}% (median paired ratio)");
-        if pct > 5.0 {
-            eprintln!("error: shard-profiling overhead {pct:.1}% exceeds the 5% hard budget");
-            return 1;
-        } else if pct > 2.0 {
-            eprintln!("warning: shard-profiling overhead {pct:.1}% exceeds the 2% budget");
-        }
-    }
     if opts.gate && regressed {
         eprintln!("error: --gate set and at least one scenario regressed >10%");
         return 1;
@@ -1983,35 +1657,6 @@ fn overhead_walls(
     (best, [median(trace_ratios), median(journey_ratios)])
 }
 
-/// Interleaved overhead of `--profile-shards` on one sharded scenario:
-/// profiling-off and profiling-on run back-to-back each iteration, and the
-/// gate reads the median paired on/off wall-time ratio (the PR 8
-/// discipline — per-iteration pairing cancels machine-wide slowdowns, the
-/// median discards outliers).
-fn shard_profile_overhead(
-    make: &dyn Fn() -> Scenario,
-    horizon: SimTime,
-    shards: usize,
-    iters: u32,
-) -> f64 {
-    let mut ratios = Vec::with_capacity(iters as usize);
-    for _ in 0..iters {
-        let mut wall = [0.0f64; 2];
-        for (slot, profiled) in [(0, false), (1, true)] {
-            let mut sim = make().build_until(HOTPATH_SEED, horizon);
-            if profiled {
-                sim.enable_shard_profiling();
-            }
-            let start = std::time::Instant::now();
-            let _ = sim.run_sharded(horizon, shards, 0);
-            wall[slot] = start.elapsed().as_secs_f64();
-        }
-        ratios.push(wall[1] / wall[0].max(1e-9));
-    }
-    ratios.sort_by(f64::total_cmp);
-    ratios[ratios.len() / 2]
-}
-
 /// Parsed chaos-specific flags (everything else is forwarded to
 /// [`parse_args`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -2045,6 +1690,18 @@ impl Default for ChaosOptions {
     }
 }
 
+/// Parse an invariant bound in seconds: finite and non-negative (0 is
+/// allowed and deliberately breaks the invariant it bounds).
+fn parse_bound(flag: &str, text: &str) -> Result<f64, String> {
+    let secs: f64 = text.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if !(secs.is_finite() && secs >= 0.0) {
+        return Err(format!(
+            "{flag} must be finite, non-negative seconds, got {text}"
+        ));
+    }
+    Ok(secs)
+}
+
 fn parse_chaos_args(args: &[String]) -> Result<(ChaosOptions, Vec<String>), String> {
     let mut c = ChaosOptions::default();
     let mut rest = Vec::new();
@@ -2076,19 +1733,9 @@ fn parse_chaos_args(args: &[String]) -> Result<(ChaosOptions, Vec<String>), Stri
                     .map_err(|e| format!("--shrink-runs: {e}"))?
             }
             "--failover-bound" => {
-                c.failover_bound = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--failover-bound: {e}"))?,
-                )
+                c.failover_bound = Some(parse_bound("--failover-bound", &next(&mut i)?)?)
             }
-            "--setup-bound" => {
-                c.setup_bound = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--setup-bound: {e}"))?,
-                )
-            }
+            "--setup-bound" => c.setup_bound = Some(parse_bound("--setup-bound", &next(&mut i)?)?),
             "--max-undeliverable" => {
                 c.max_undeliverable = next(&mut i)?
                     .parse()
@@ -2278,27 +1925,6 @@ fn chaos_main(args: &[String]) -> i32 {
                 eprintln!("warning: failed to write {path}: {e}");
             }
         }
-        // Shard-count invariance check: the same (scenario, seed, plan) on
-        // the sharded engine must reproduce the sequential canonical
-        // report byte-for-byte. (The invariant checker itself always runs
-        // on the sequential report — it needs the full trace.)
-        if opts.shards > 1 {
-            let sharded = build_scenario(&opts)
-                .with_fault_plan(plan.clone())
-                .run_sharded(horizon, opts.seed, opts.shards, opts.threads);
-            if sharded.canonical_json() != outcome.report.canonical_json() {
-                eprintln!(
-                    "error: canonical report diverged at --shards {}",
-                    opts.shards
-                );
-                return 1;
-            }
-            println!(
-                "chaos: canonical report identical at --shards {}{}",
-                opts.shards,
-                lane_balance_suffix(&sharded)
-            );
-        }
         if outcome.violations.is_empty() {
             println!("chaos: all invariants hold");
             return 0;
@@ -2365,562 +1991,6 @@ fn chaos_main(args: &[String]) -> i32 {
     0
 }
 
-/// Parsed `determinism` subcommand line.
-#[derive(Debug, Clone, PartialEq)]
-struct DeterminismOptions {
-    shards: Vec<usize>,
-    threads: usize,
-    duration: f64,
-    plan: Option<String>,
-}
-
-impl Default for DeterminismOptions {
-    fn default() -> Self {
-        DeterminismOptions {
-            shards: vec![2, 4, 8],
-            threads: 0,
-            duration: 2.0,
-            plan: None,
-        }
-    }
-}
-
-fn parse_determinism_args(args: &[String]) -> Result<DeterminismOptions, String> {
-    let mut o = DeterminismOptions::default();
-    let mut i = 0;
-    let next = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value after {}", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--shards" => {
-                let csv = next(&mut i)?;
-                let mut list = Vec::new();
-                for part in csv.split(',').filter(|s| !s.is_empty()) {
-                    let n: usize = part
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("--shards '{part}': {e}"))?;
-                    if n < 2 {
-                        return Err("--shards entries must be at least 2".into());
-                    }
-                    list.push(n);
-                }
-                if list.is_empty() {
-                    return Err("--shards needs at least one count".into());
-                }
-                o.shards = list;
-            }
-            "--threads" => {
-                o.threads = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--duration" => o.duration = parse_duration(&next(&mut i)?)?,
-            "--plan" => o.plan = Some(next(&mut i)?),
-            "--help" | "-h" => return Err("help".into()),
-            other => return Err(format!("unknown determinism option {other}")),
-        }
-        i += 1;
-    }
-    Ok(o)
-}
-
-/// The determinism matrix's scenario set: the golden-report shapes (which
-/// exercise the sequential-fallback clamp) plus multirack variants that
-/// genuinely partition, including one under a fault plan.
-#[allow(clippy::type_complexity)]
-fn determinism_cases(
-    plan: scotch_sim::fault::FaultPlan,
-) -> Vec<(&'static str, Box<dyn Fn() -> Scenario>)> {
-    let parallel = || {
-        Scenario::multirack(4, 1)
-            .with_interrack_propagation(SimDuration::from_micros(200))
-            .with_rack_clients(150.0)
-            .with_clients(80.0)
-            .with_attack(400.0)
-    };
-    vec![
-        (
-            "single_ddos",
-            Box::new(|| {
-                Scenario::single_switch(scotch_switch::SwitchProfile::pica8_pronto_3780())
-                    .with_clients(100.0)
-                    .with_attack(2_000.0)
-            }) as Box<dyn Fn() -> Scenario>,
-        ),
-        (
-            "overlay_ddos",
-            Box::new(|| {
-                Scenario::overlay_datacenter(4)
-                    .with_servers(2)
-                    .with_clients(100.0)
-                    .with_attack(2_000.0)
-            }),
-        ),
-        ("multirack_parallel", Box::new(parallel)),
-        (
-            // Sampled telemetry must be shard-count invariant too: the
-            // sampler streams are keyed by (seed, node), not by shard.
-            "multirack_sampled",
-            Box::new(move || parallel().with_sampling_rate(1.0 / 64.0)),
-        ),
-        (
-            "multirack_chaos",
-            Box::new({
-                let plan = plan.clone();
-                move || parallel().with_fault_plan(plan.clone())
-            }),
-        ),
-        (
-            // Controller-cluster cell: a 3-replica cluster under the same
-            // fault plan plus a scripted mid-run failover of replica 0.
-            // Mastership handoffs and pending-queue migration must land
-            // identically at every shard count.
-            "multirack_cluster",
-            Box::new(move || {
-                parallel()
-                    .with_controllers(3)
-                    .with_sync_latency(SimDuration::from_micros(500))
-                    .with_fault_plan(plan.clone())
-                    .with_failover_at(0, SimTime::from_secs_f64(0.5))
-            }),
-        ),
-    ]
-}
-
-/// Determinism matrix seed — the goldens' seed, so the sequential arm of
-/// the matrix pins the exact reports the golden tests check.
-const DETERMINISM_SEED: u64 = 20141202;
-
-fn determinism_main(args: &[String]) -> i32 {
-    let opts = match parse_determinism_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("usage: scotch-cli determinism [--shards CSV] [--threads N]");
-            eprintln!("                              [--duration SECS] [--plan FILE]");
-            return if e == "help" { 0 } else { 2 };
-        }
-    };
-    let horizon = SimTime::from_secs_f64(opts.duration);
-    let plan = match &opts.plan {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read plan {path}: {e}");
-                    return 2;
-                }
-            };
-            match scotch_sim::fault::FaultPlan::parse(&text) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: bad plan {path}: {e}");
-                    return 2;
-                }
-            }
-        }
-        None => scotch::chaos::generate_plan(
-            DETERMINISM_SEED,
-            SimDuration::from_secs_f64(opts.duration),
-            8,
-        ),
-    };
-
-    let mut diverged = 0u32;
-    for (name, make) in determinism_cases(plan) {
-        let base = make().run(horizon, DETERMINISM_SEED).canonical_json();
-        for &k in &opts.shards {
-            let rep = make().run_sharded(horizon, DETERMINISM_SEED, k, opts.threads);
-            if rep.canonical_json() == base {
-                println!(
-                    "determinism: {name} --shards {k}: ok{}",
-                    lane_balance_suffix(&rep)
-                );
-            } else {
-                diverged += 1;
-                eprintln!("determinism: {name} --shards {k}: DIVERGED");
-            }
-        }
-    }
-
-    // The telemetry degeneration contract (DESIGN.md §13): sampled
-    // telemetry at rate 1.0 must reproduce the exhaustive-mode canonical
-    // report byte-for-byte on the golden overlay shape.
-    let overlay = || {
-        Scenario::overlay_datacenter(4)
-            .with_servers(2)
-            .with_clients(100.0)
-            .with_attack(2_000.0)
-    };
-    let exhaustive = overlay().run(horizon, DETERMINISM_SEED).canonical_json();
-    let rate_one = overlay()
-        .with_sampling_rate(1.0)
-        .run(horizon, DETERMINISM_SEED)
-        .canonical_json();
-    if rate_one == exhaustive {
-        println!("determinism: overlay_ddos sampled-rate-1.0 == exhaustive: ok");
-    } else {
-        diverged += 1;
-        eprintln!("determinism: overlay_ddos sampled-rate-1.0 == exhaustive: DIVERGED");
-    }
-    if diverged > 0 {
-        eprintln!("error: {diverged} matrix cell(s) diverged from the sequential report");
-        1
-    } else {
-        println!("determinism: all cells byte-identical");
-        0
-    }
-}
-
-/// Parsed `shards` subcommand flags (everything else is forwarded to
-/// [`parse_args`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-struct ShardsOptions {
-    out: Option<String>,
-    check: bool,
-}
-
-/// Split a `shards` command line into shards flags and scenario flags.
-fn parse_shards_args(args: &[String]) -> Result<(ShardsOptions, Vec<String>), String> {
-    let mut s = ShardsOptions::default();
-    let mut rest = Vec::new();
-    let mut i = 0;
-    let next = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value after {}", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => s.out = Some(next(&mut i)?),
-            "--check" => s.check = true,
-            other => rest.push(other.to_string()),
-        }
-        i += 1;
-    }
-    Ok((s, rest))
-}
-
-/// The `shards` subcommand's default workload when no scenario flags are
-/// given: the determinism matrix's `multirack_parallel` shape, which
-/// genuinely partitions at every shard count the CI matrix checks.
-fn default_shards_options() -> Options {
-    Options {
-        scenario: "multirack".into(),
-        racks: 4,
-        mesh: 1,
-        interrack_us: Some(200),
-        rack_clients: Some(150.0),
-        clients: 80.0,
-        attack: Some(400.0),
-        duration: 2.0,
-        ..Options::default()
-    }
-}
-
-/// Warn-threshold for the hub shard's share of lane events (`--check`).
-const HUB_SHARE_WARN: f64 = 0.60;
-/// Warn-threshold for mean lane idle (1 − mean utilization) (`--check`).
-const LANE_IDLE_WARN: f64 = 0.50;
-
-/// Assemble the machine-readable scaling report for one sharded run:
-/// deterministic sim-time telemetry (lanes, epochs, epoch-width quantiles,
-/// inter-shard message matrix, hub share) plus the wall-clock lane profile
-/// when `--profile-shards` ran.
-fn shard_report_json(
-    report: &scotch::Report,
-    shard_sizes: &[usize],
-    scenario: &str,
-    seed: u64,
-) -> scotch_runner::Json {
-    use scotch_runner::Json;
-    let metric = |name: &str| report.metrics.get(name).unwrap_or(0.0);
-    let m = metric("shard.lanes") as usize;
-    let mut lanes = Vec::with_capacity(m);
-    let rows = report
-        .shard_profile
-        .as_ref()
-        .map(|p| p.lane_rows())
-        .unwrap_or_default();
-    for s in 0..m {
-        let mut lane = Json::obj()
-            .set("lane", s)
-            .set("nodes", shard_sizes.get(s).copied().unwrap_or(0))
-            .set("events", metric(&format!("shard.lane.{s}.events")));
-        if let Some(r) = rows.get(s) {
-            lane = lane
-                .set("busy_ms", r.busy_ns / 1e6)
-                .set("stall_ms", r.stall_ns / 1e6)
-                .set("utilization", r.utilization)
-                .set("util_p50", r.util_p50)
-                .set("util_p99", r.util_p99)
-                .set("critical_epochs", r.critical_epochs);
-        }
-        lanes.push(lane);
-    }
-    let xmsgs: Vec<Json> = (0..m)
-        .map(|src| {
-            Json::Arr(
-                (0..m)
-                    .map(|dst| Json::from(metric(&format!("shard.xmsgs.{src}.{dst}"))))
-                    .collect(),
-            )
-        })
-        .collect();
-    let mut doc = Json::obj()
-        .set("schema", "scotch-shard-report/v1")
-        .set("scenario", scenario)
-        .set("seed", seed)
-        .set("shards", m)
-        .set("epochs", metric("shard.epochs"))
-        .set("centrals", metric("shard.centrals"))
-        .set(
-            "epoch_width_ns",
-            Json::obj()
-                .set("mean", metric("shard.epoch_width_ns.mean"))
-                .set("p50", metric("shard.epoch_width_ns.p50"))
-                .set("p99", metric("shard.epoch_width_ns.p99"))
-                .set("max", metric("shard.epoch_width_ns.max")),
-        )
-        .set("handoffs", metric("shard.handoffs"))
-        .set("hub_share", metric("shard.hub_share_ppm") / 1e6)
-        .set("lanes", Json::Arr(lanes))
-        .set("xmsgs", Json::Arr(xmsgs));
-    if let Some(p) = report.shard_profile.as_ref() {
-        doc = doc.set(
-            "wall",
-            Json::obj()
-                .set("barrier_ms", p.barrier_ns() / 1e6)
-                .set("total_ms", p.total_ns() / 1e6)
-                .set(
-                    "barrier_frac",
-                    if p.total_ns() > 0.0 {
-                        p.barrier_ns() / p.total_ns()
-                    } else {
-                        0.0
-                    },
-                )
-                .set("mean_utilization", p.mean_utilization()),
-        );
-    }
-    doc
-}
-
-/// Print the human-readable scaling report (the table twin of
-/// [`shard_report_json`]).
-fn print_shard_report(report: &scotch::Report, shard_sizes: &[usize]) {
-    let metric = |name: &str| report.metrics.get(name).unwrap_or(0.0);
-    let m = metric("shard.lanes") as usize;
-    println!(
-        "shard scaling report: {m} lanes, {} epochs (width p50 {}, p99 {}), {} handoffs",
-        metric("shard.epochs") as u64,
-        fmt_ns(metric("shard.epoch_width_ns.p50") as u64),
-        fmt_ns(metric("shard.epoch_width_ns.p99") as u64),
-        metric("shard.handoffs") as u64,
-    );
-    println!(
-        "hub share: {:.1}% of lane events (lane 0 runs spine + controller)",
-        metric("shard.hub_share_ppm") / 1e4
-    );
-    let rows = report
-        .shard_profile
-        .as_ref()
-        .map(|p| p.lane_rows())
-        .unwrap_or_default();
-    println!(
-        "  {:>5} {:>6} {:>10} {:>10} {:>10} {:>6} {:>8} {:>9}",
-        "lane", "nodes", "events", "busy_ms", "stall_ms", "util", "util_p99", "critical"
-    );
-    for s in 0..m {
-        let events = metric(&format!("shard.lane.{s}.events")) as u64;
-        let nodes = shard_sizes.get(s).copied().unwrap_or(0);
-        let tag = if s == 0 {
-            "0*".to_string()
-        } else {
-            s.to_string()
-        };
-        match rows.get(s) {
-            Some(r) => println!(
-                "  {tag:>5} {nodes:>6} {events:>10} {:>10.2} {:>10.2} {:>6.2} {:>8.2} {:>9}",
-                r.busy_ns / 1e6,
-                r.stall_ns / 1e6,
-                r.utilization,
-                r.util_p99,
-                r.critical_epochs
-            ),
-            None => println!(
-                "  {tag:>5} {nodes:>6} {events:>10} {:>10} {:>10} {:>6} {:>8} {:>9}",
-                "-", "-", "-", "-", "-"
-            ),
-        }
-    }
-    if let Some(p) = report.shard_profile.as_ref() {
-        let frac = if p.total_ns() > 0.0 {
-            p.barrier_ns() / p.total_ns()
-        } else {
-            0.0
-        };
-        println!(
-            "barrier wall: {:.1}ms of {:.1}ms total ({:.1}%), mean lane utilization {:.2}",
-            p.barrier_ns() / 1e6,
-            p.total_ns() / 1e6,
-            frac * 100.0,
-            p.mean_utilization()
-        );
-    }
-    if metric("shard.handoffs") > 0.0 {
-        println!("inter-shard messages (src row -> dst column):");
-        print!("  {:>5}", "");
-        for dst in 0..m {
-            print!(" {:>9}", format!("d{dst}"));
-        }
-        println!();
-        for src in 0..m {
-            print!("  {:>5}", format!("s{src}"));
-            for dst in 0..m {
-                let n = metric(&format!("shard.xmsgs.{src}.{dst}")) as u64;
-                if src == dst {
-                    print!(" {:>9}", "-");
-                } else {
-                    print!(" {n:>9}");
-                }
-            }
-            println!();
-        }
-    }
-}
-
-/// Compact per-lane balance tail for `determinism` / `chaos --shards`
-/// lines: `" (lanes [a, b, ...] events, hub 42%)"`. Empty when the run fell
-/// back to sequential (no `shard.*` telemetry in the report).
-fn lane_balance_suffix(report: &scotch::Report) -> String {
-    let Some(lanes) = report.metrics.get("shard.lanes") else {
-        return String::new();
-    };
-    let events: Vec<String> = (0..lanes as usize)
-        .map(|s| {
-            report
-                .metrics
-                .get(&format!("shard.lane.{s}.events"))
-                .map_or_else(|| "?".into(), |v| format!("{}", v as u64))
-        })
-        .collect();
-    let hub = report
-        .metrics
-        .get("shard.hub_share_ppm")
-        .map_or_else(String::new, |ppm| format!(", hub {:.0}%", ppm / 10_000.0));
-    format!(" (lanes [{}] events{hub})", events.join(", "))
-}
-
-/// `--check`: warn-only health probe over the scaling report. Returns the
-/// warning lines (empty = healthy); the caller prints them and still
-/// exits 0.
-fn shard_check_warnings(report: &scotch::Report) -> Vec<String> {
-    let metric = |name: &str| report.metrics.get(name).unwrap_or(0.0);
-    let mut warnings = Vec::new();
-    let hub_share = metric("shard.hub_share_ppm") / 1e6;
-    if hub_share > HUB_SHARE_WARN {
-        warnings.push(format!(
-            "hub shard holds {:.1}% of lane events (> {:.0}%): the spine/controller \
-             lane is the serial bottleneck at this shard count",
-            hub_share * 100.0,
-            HUB_SHARE_WARN * 100.0
-        ));
-    }
-    if let Some(p) = report.shard_profile.as_ref() {
-        let idle = 1.0 - p.mean_utilization();
-        if p.epochs() > 0 && idle > LANE_IDLE_WARN {
-            warnings.push(format!(
-                "mean lane idle {:.1}% (> {:.0}%): lanes mostly wait at barriers — \
-                 widen the lookahead or lower the shard count",
-                idle * 100.0,
-                LANE_IDLE_WARN * 100.0
-            ));
-        }
-    }
-    warnings
-}
-
-fn shards_main(args: &[String]) -> i32 {
-    let usage = || {
-        eprintln!("usage: scotch-cli shards [SCENARIO OPTIONS] [--out FILE] [--check]");
-        eprintln!("       (defaults to the multirack_parallel determinism shape, 4 shards)");
-    };
-    let (sopts, rest) = match parse_shards_args(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            usage();
-            return 2;
-        }
-    };
-    let mut opts = if rest.is_empty() {
-        default_shards_options()
-    } else {
-        match parse_args(&rest) {
-            Ok(o) => o,
-            Err(e) => {
-                if e != "help" {
-                    eprintln!("error: {e}\n");
-                }
-                usage();
-                return if e == "help" { 0 } else { 2 };
-            }
-        }
-    };
-    if opts.shards < 2 {
-        opts.shards = 4;
-    }
-
-    let horizon = SimTime::from_secs_f64(opts.duration);
-    let mut sim = build_scenario(&opts).build_until(opts.seed, horizon);
-    sim.enable_shard_profiling();
-    let shard_sizes =
-        scotch_net::Partition::by_regions(sim.topo.node_count(), &sim.regions, opts.shards)
-            .shard_sizes();
-    let report = sim.run_sharded(horizon, opts.shards, opts.threads);
-    if report.metrics.get("shard.lanes").is_none() {
-        eprintln!(
-            "error: the run fell back to sequential execution (scenario '{}' cannot \
-             shard); no scaling report to print",
-            opts.scenario
-        );
-        return 1;
-    }
-
-    let doc = shard_report_json(&report, &shard_sizes, &opts.scenario, opts.seed);
-    if opts.json {
-        println!("{}", doc.pretty());
-    } else {
-        print_shard_report(&report, &shard_sizes);
-    }
-    if let Some(path) = &sopts.out {
-        if let Err(e) = std::fs::write(path, doc.pretty()) {
-            eprintln!("error: failed to write {path}: {e}");
-            return 1;
-        }
-        eprintln!("wrote scaling report to {path}");
-    }
-    if sopts.check {
-        let warnings = shard_check_warnings(&report);
-        for w in &warnings {
-            eprintln!("warning: {w}");
-        }
-        if warnings.is_empty() {
-            eprintln!("check: shard health ok");
-        }
-    }
-    0
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("trace") {
@@ -2928,12 +1998,6 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("explain") {
         std::process::exit(explain_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("determinism") {
-        std::process::exit(determinism_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("shards") {
-        std::process::exit(shards_main(&args[1..]));
     }
     if args.first().map(String::as_str) == Some("chaos") {
         std::process::exit(chaos_main(&args[1..]));
@@ -2969,22 +2033,7 @@ fn main() {
         found
     });
 
-    // The sharded engine clamps non-partitionable scenarios to the
-    // sequential path itself; the trace workload clamp mirrors
-    // `Scenario::run_sharded` (multi-host sources cannot be partitioned).
-    let sharded = opts.shards > 1 && opts.trace.is_none();
-    if opts.profile_shards && sharded {
-        sim.enable_shard_profiling();
-    }
-    let shard_sizes = (opts.profile_shards && sharded).then(|| {
-        scotch_net::Partition::by_regions(sim.topo.node_count(), &sim.regions, opts.shards)
-            .shard_sizes()
-    });
-    let report = if sharded {
-        sim.run_sharded(horizon, opts.shards, opts.threads)
-    } else {
-        sim.run(horizon)
-    };
+    let report = sim.run(horizon);
 
     if let (Some(node), Some((_, file))) = (pcap_node, opts.pcap.as_ref()) {
         if let Some(cap) = report.captures.get(&node) {
@@ -3036,16 +2085,6 @@ fn main() {
             println!("mean client flow completion time: {:.4}s", fct);
         }
     }
-    if let Some(sizes) = shard_sizes {
-        if report.metrics.get("shard.lanes").is_some() {
-            print_shard_report(&report, &sizes);
-        } else {
-            eprintln!(
-                "note: --profile-shards had no effect (the run fell back to \
-                 sequential execution)"
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -3080,6 +2119,18 @@ mod tests {
         assert_eq!(o.seed, 9);
         assert_eq!(o.duration, 12.0);
         assert!(o.json);
+    }
+
+    #[test]
+    fn shard_flags_parse() {
+        // The multi-rack model knobs outlive the engine flags they once sat beside.
+        let o =
+            parse("--scenario multirack --racks 4 --interrack-us 200 --rack-clients 150").unwrap();
+        assert_eq!(o.racks, 4);
+        assert_eq!(o.interrack_us, Some(200));
+        assert_eq!(o.rack_clients, Some(150.0));
+        assert!(parse("--interrack-us").is_err());
+        assert!(parse("--rack-clients").is_err());
     }
 
     #[test]
@@ -3142,43 +2193,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_shards_flag_parses() {
-        let o = parse("--shards 4 --profile-shards").unwrap();
-        assert_eq!(o.shards, 4);
-        assert!(o.profile_shards);
-        assert!(!parse("").unwrap().profile_shards);
-    }
-
-    #[test]
-    fn shards_flags_split_from_scenario_flags() {
-        let args: Vec<String> = "--out shards.json --check --scenario multirack --racks 8"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let (s, rest) = parse_shards_args(&args).unwrap();
-        assert_eq!(s.out.as_deref(), Some("shards.json"));
-        assert!(s.check);
-        assert_eq!(rest, ["--scenario", "multirack", "--racks", "8"]);
-    }
-
-    #[test]
-    fn default_shards_options_build_a_partitionable_scenario() {
-        let o = default_shards_options();
-        assert_eq!(o.scenario, "multirack");
-        let sim = build_scenario(&o).build(1);
-        assert!(sim.regions.len() > 1, "shards default needs rack regions");
-    }
-
-    #[test]
-    fn scaling_sweep_flag_and_grid() {
-        let args: Vec<String> = vec!["--scaling".into()];
-        let o = parse_sweep_args(&args).unwrap();
-        assert!(o.scaling);
-        let jobs = scaling_jobs(&o);
-        assert_eq!(jobs.len(), scaling_shapes().len() * SCALING_SHARDS.len());
-    }
-
-    #[test]
     fn cluster_flags_parse() {
         let o = parse("--controllers 3 --sync-latency-us 750 --failover 1.5").unwrap();
         assert_eq!(o.controllers, 3);
@@ -3212,6 +2226,8 @@ mod tests {
     #[test]
     fn rejects_unknown_flag() {
         assert!(parse("--bogus").is_err());
+        // Worker threads belong to the sweep runner; a single run has none.
+        assert!(parse("--threads 2").is_err());
     }
 
     #[test]
@@ -3360,67 +2376,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_event_nodes_attribute_by_field_name() {
-        use scotch_sim::trace::TraceEvent;
-        assert_eq!(
-            trace_event_node(TraceEvent::FlowDropped { switch: 7 }),
-            Some(7)
-        );
-        assert_eq!(
-            trace_event_node(TraceEvent::VSwitchJoined { node: 3 }),
-            Some(3)
-        );
-        assert_eq!(
-            trace_event_node(TraceEvent::FailoverExecuted {
-                dead: 5,
-                replacement: 6
-            }),
-            Some(5)
-        );
-        assert_eq!(
-            trace_event_node(TraceEvent::CtrlMsgPerturbed { kind: 1 }),
-            None
-        );
-    }
-
-    #[test]
     fn bench_profile_and_overhead_flags() {
         let o = parse_bench("--profile --trace-overhead").unwrap();
         assert!(o.profile);
         assert!(o.trace_overhead);
-    }
-
-    #[test]
-    fn shard_flags_parse() {
-        let o = parse(
-            "--scenario multirack --racks 4 --shards 4 --threads 2 \
-             --interrack-us 200 --rack-clients 150",
-        )
-        .unwrap();
-        assert_eq!(o.shards, 4);
-        assert_eq!(o.threads, 2);
-        assert_eq!(o.interrack_us, Some(200));
-        assert_eq!(o.rack_clients, Some(150.0));
-        assert!(parse("--shards 0").is_err());
-        assert!(parse("--shards").is_err());
-    }
-
-    fn parse_det(s: &str) -> Result<DeterminismOptions, String> {
-        let args: Vec<String> = s.split_whitespace().map(String::from).collect();
-        parse_determinism_args(&args)
-    }
-
-    #[test]
-    fn determinism_flags_parse() {
-        assert_eq!(parse_det("").unwrap(), DeterminismOptions::default());
-        let o = parse_det("--shards 2,4 --threads 3 --duration 1.5 --plan p.plan").unwrap();
-        assert_eq!(o.shards, vec![2, 4]);
-        assert_eq!(o.threads, 3);
-        assert_eq!(o.duration, 1.5);
-        assert_eq!(o.plan.as_deref(), Some("p.plan"));
-        assert!(parse_det("--shards 1").is_err());
-        assert!(parse_det("--shards ,").is_err());
-        assert!(parse_det("--bogus").is_err());
     }
 
     /// `--duration` goes through one checked parser on every front end:
@@ -3432,19 +2391,10 @@ mod tests {
             let flag = format!("--duration {bad}");
             assert!(parse(&flag).is_err(), "run --duration {bad}");
             assert!(parse_sweep(&flag).is_err(), "sweep --duration {bad}");
-            assert!(parse_det(&flag).is_err(), "determinism --duration {bad}");
         }
         assert_eq!(parse_duration("1e-9"), Ok(1e-9));
         assert_eq!(parse_duration("1.5e10"), Ok(1.5e10));
         assert!(parse_duration("1.9e10").is_err());
-    }
-
-    #[test]
-    fn bench_shards_and_gate_flags() {
-        let o = parse_bench("--shards 8 --gate").unwrap();
-        assert_eq!(o.shards, 8);
-        assert!(o.gate);
-        assert!(parse_bench("--shards 0").is_err());
     }
 
     #[test]
@@ -3489,20 +2439,6 @@ mod tests {
     }
 
     #[test]
-    fn determinism_cases_build() {
-        let plan = scotch::chaos::generate_plan(1, SimDuration::from_secs(2), 4);
-        let cases = determinism_cases(plan);
-        assert!(cases.iter().any(|(name, _)| *name == "multirack_cluster"));
-        for (name, make) in cases {
-            assert!(!name.is_empty());
-            let sim = make().build(1);
-            if name == "multirack_cluster" {
-                assert_eq!(sim.app.cluster.as_ref().map(|c| c.replicas()), Some(3));
-            }
-        }
-    }
-
-    #[test]
     fn chaos_flags_split_and_parse() {
         let args: Vec<String> =
             "--setup-bound 0.25 --promote repro-1 --plan p.plan --controllers 3"
@@ -3514,6 +2450,20 @@ mod tests {
         assert_eq!(c.promote.as_deref(), Some("repro-1"));
         assert_eq!(c.plan.as_deref(), Some("p.plan"));
         assert_eq!(rest, ["--controllers", "3"]);
+        // Invariant bounds are finite, non-negative seconds.
+        for flag in ["--failover-bound", "--setup-bound"] {
+            for bad in ["nan", "-1", "inf", "-inf", "x"] {
+                let args: Vec<String> = vec![flag.into(), bad.into()];
+                assert!(parse_chaos_args(&args).is_err(), "accepted {flag} {bad}");
+            }
+        }
+        // 0 is a documented value: it deliberately breaks the invariant.
+        let args: Vec<String> = "--failover-bound 0 --setup-bound 0"
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        let (c, _) = parse_chaos_args(&args).unwrap();
+        assert_eq!((c.failover_bound, c.setup_bound), (Some(0.0), Some(0.0)));
     }
 
     #[test]
@@ -3561,6 +2511,7 @@ mod tests {
         assert!(parse_sweep("--seeds 0").is_err());
         assert!(parse_sweep("--bogus").is_err());
         assert!(parse_sweep("--seeds").is_err());
+        assert!(parse_sweep("--scaling").is_err());
     }
 
     fn parse_bench(s: &str) -> Result<BenchOptions, String> {
@@ -3577,6 +2528,13 @@ mod tests {
         assert_eq!(o.baseline.as_deref(), Some("BENCH_hotpath.json"));
         assert_eq!(o.label, "ci");
         assert_eq!(o.iters, 1);
+    }
+
+    #[test]
+    fn bench_shards_and_gate_flags() {
+        assert!(!parse_bench("").unwrap().gate);
+        assert!(parse_bench("--gate").unwrap().gate);
+        assert!(parse_bench("--gate --iters 2").unwrap().gate);
     }
 
     #[test]

@@ -47,11 +47,6 @@ pub struct OverlayManager {
     pub alive: Vec<bool>,
     /// Standby vSwitches available to replace failures (§5.6).
     pub backups: Vec<NodeId>,
-    /// Monotonic mutation counter. Sharded execution replicates the overlay
-    /// to every shard's data-path slice and uses this to notice, at an epoch
-    /// barrier, that the controller rewired something and replicas must be
-    /// refreshed.
-    pub version: u64,
 }
 
 impl OverlayManager {
@@ -144,7 +139,6 @@ impl OverlayManager {
         downstream: NodeId,
         agg_out: NodeId,
     ) {
-        self.version += 1;
         let tin = self
             .tunnels
             .add_shortest(topo, agg_in, upstream)
@@ -162,7 +156,6 @@ impl OverlayManager {
     /// both by elastic scale-out and by backup promotion (a standby that
     /// takes over a bucket needs its fabric wired too).
     pub fn wire_mesh_tunnels(&mut self, topo: &Topology, v: NodeId) {
-        self.version += 1;
         for &m in &self.mesh.clone() {
             if m == v {
                 continue;
@@ -199,7 +192,6 @@ impl OverlayManager {
         if self.mesh.contains(&v) {
             return;
         }
-        self.version += 1;
         self.wire_mesh_tunnels(topo, v);
         self.mesh.push(v);
         self.alive.push(true);
@@ -219,7 +211,6 @@ impl OverlayManager {
     /// bucket position. Returns the replacement if one was promoted.
     pub fn fail_vswitch(&mut self, v: NodeId) -> Option<NodeId> {
         let idx = self.mesh.iter().position(|n| *n == v)?;
-        self.version += 1;
         self.alive[idx] = false;
         // §5.6: "the controller can replace the failed vSwitch with the
         // backup in the action buckets".

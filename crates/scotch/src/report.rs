@@ -185,8 +185,7 @@ pub struct Report {
     /// did, not queue pops: a `FlowStart` pop — a flow's packet-0 emission
     /// fused with its source's next arrival draw — counts 2, every other
     /// pop 1. The number therefore does not depend on how the engine
-    /// batches work into queue events, and sequential and sharded runs
-    /// agree on it.
+    /// batches work into queue events.
     pub events_processed: u64,
     /// Delivery `(time, end-to-end latency)` samples of explicitly
     /// tracked flows (see [`crate::Simulation::track_flow`]).
@@ -204,19 +203,13 @@ pub struct Report {
     pub trace: TraceRecorder,
     /// Canonical causal journey-mark stream (DESIGN.md §14), empty unless
     /// journey tracing was enabled. Sorted `(journey, time, point, node,
-    /// info)`; bit-reproducible per `(scenario, seed, rate)` and invariant
-    /// across shard counts. Excluded from the canonical report like
-    /// `trace`/`metrics`.
+    /// info)`; bit-reproducible per `(scenario, seed, rate)`. Excluded from
+    /// the canonical report like `trace`/`metrics`.
     pub journeys: Vec<JourneyMark>,
     /// Per-event-type wall-clock dispatch profile, non-empty only when
     /// [`crate::Simulation::enable_profiling`] was called. Wall-clock ⇒
     /// machine-dependent ⇒ never in the canonical report.
     pub profile: Vec<ProfileEntry>,
-    /// Per-lane busy/stall wall-clock profile of a sharded run, `Some`
-    /// only when [`crate::Simulation::enable_shard_profiling`] was called
-    /// and the run actually sharded. Wall-clock ⇒ machine-dependent ⇒
-    /// never in the canonical report.
-    pub shard_profile: Option<scotch_sim::EpochProfiler>,
 }
 
 impl Report {
@@ -535,10 +528,7 @@ impl Report {
     }
 
     /// Render the journey-mark stream as JSONL: one compact object per
-    /// mark with `journey`, `t_ns`, `point`, `node`, `info`. The `shard`
-    /// field is deliberately omitted — it is the one observational field
-    /// that differs between shard counts; everything emitted here is
-    /// byte-identical for shards 1/2/4/8.
+    /// mark with `journey`, `t_ns`, `point`, `node`, `info`.
     pub fn journeys_jsonl(&self) -> String {
         use scotch_runner::Json;
         let mut out = String::new();

@@ -19,15 +19,13 @@ use scotch_sim::journey::{
 use scotch_sim::metrics::Histogram;
 use scotch_sim::trace::{TraceEvent, TraceRecorder};
 use scotch_sim::{
-    DispatchProfiler, EpochProfiler, EventQueue, FxHashMap, MetricsRegistry, SimDuration, SimRng,
-    SimTime,
+    DispatchProfiler, EventQueue, FxHashMap, MetricsRegistry, SimDuration, SimRng, SimTime,
 };
 use scotch_switch::middlebox::{MbVerdict, Middlebox};
 use scotch_switch::{DropReason, Output, PhysicalSwitch, VSwitch};
 use scotch_workload::{FlowArrival, FlowSource, FlowSpec};
 
-/// Discrete events. Crate-visible so the shard driver (`crate::shard`) can
-/// route them between per-shard event queues.
+/// Discrete events.
 pub(crate) enum Event {
     /// A packet lands on `(node, port)` after link transit.
     Arrive {
@@ -164,7 +162,7 @@ impl Event {
     /// Profile row of the event's variant (one of the first 21 rows of
     /// [`PROFILE_KIND_NAMES`]). `FlowStart` shares the `source_next` row:
     /// it is the arrival draw with packet 0's emission folded in.
-    pub(crate) fn kind(&self) -> usize {
+    fn kind(&self) -> usize {
         match self {
             Event::Arrive { .. } => 0,
             Event::EmitPacket { .. } => 1,
@@ -194,7 +192,7 @@ impl Event {
     /// packet-0 emission plus the arrival draw), 1 for everything else.
     /// `Report::events_processed` counts these, so fusing the pair into
     /// one queue event leaves the canonical report unchanged.
-    pub(crate) fn model_events(&self) -> u64 {
+    fn model_events(&self) -> u64 {
         match self {
             Event::FlowStart { .. } => 2,
             _ => 1,
@@ -260,31 +258,7 @@ pub(crate) struct ChaosState {
 }
 
 impl ChaosState {
-    /// Fold another shard's counters into this one (windows are not
-    /// merged: they are broadcast state, identical on every shard).
-    pub(crate) fn absorb_counters(&mut self, o: &ChaosState) {
-        for i in 0..FAULT_KIND_COUNT {
-            self.injected[i] += o.injected[i];
-        }
-        self.skipped += o.skipped;
-        for i in 0..6 {
-            self.rx_dropped[i] += o.rx_dropped[i];
-            self.tx_dropped[i] += o.tx_dropped[i];
-            self.duplicated[i] += o.duplicated[i];
-            self.absorbed[i] += o.absorbed[i];
-            self.in_flight_rx[i] += o.in_flight_rx[i];
-            self.in_flight_tx[i] += o.in_flight_tx[i];
-        }
-        self.delayed += o.delayed;
-        self.deferred += o.deferred;
-        self.flowmod_add_sent += o.flowmod_add_sent;
-        self.flowmod_add_dropped += o.flowmod_add_dropped;
-        self.flowmod_add_absorbed += o.flowmod_add_absorbed;
-        self.in_flight_flowmod_add += o.in_flight_flowmod_add;
-        self.in_flight_packets += o.in_flight_packets;
-    }
-
-    pub(crate) fn tally_in_flight(&mut self, ev: &Event) {
+    fn tally_in_flight(&mut self, ev: &Event) {
         match ev {
             Event::Arrive { .. } | Event::EmitPacket { .. } | Event::FlowStart { .. } => {
                 self.in_flight_packets += 1
@@ -391,83 +365,9 @@ impl FlowIndex {
     }
 }
 
-/// One event bound for another shard (or for the canonical inter-shard
-/// ordering pass), captured at its generation site instead of being pushed
-/// into the local queue.
-///
-/// At each epoch barrier the driver concatenates all shards' outboxes,
-/// stably sorts on `(deliver, gen, class, origin)`, and pushes the entries
-/// into the destination queues in that order. The key never mentions the
-/// shard, and entries from one origin are generated on one shard in a
-/// deterministic order the stable sort preserves — so the insertion order
-/// (the event queue's tie-breaker) is identical for every shard count.
-pub(crate) struct OutboxEntry {
-    /// When the event is due at its destination.
-    pub(crate) deliver: SimTime,
-    /// When the emitting site generated it (`now` at the push site).
-    pub(crate) gen: SimTime,
-    /// Origin class rank: physical switch 0, vSwitch 1, controller 2,
-    /// host 3, middlebox 4.
-    pub(crate) class: u8,
-    /// Emitting node id (`u32::MAX` for the controller).
-    pub(crate) origin: u32,
-    pub(crate) ev: Event,
-}
-
-/// Per-shard execution context. `None` on a sequential simulation; set by
-/// the shard driver on every lane of a sharded run.
-pub(crate) struct ShardCtx {
-    /// This lane's shard id.
-    pub(crate) shard: u32,
-    /// The global node → shard map.
-    pub(crate) part: std::sync::Arc<scotch_net::Partition>,
-    /// Events generated here but ordered/routed at the next barrier.
-    pub(crate) outbox: Vec<OutboxEntry>,
-    /// Host deliveries `(time, host, packet)` deferred to the driver.
-    /// Delivery has no causal consequences inside the event loop (it only
-    /// updates flow/latency accounting), so the driver applies these at
-    /// barriers in global time order instead of each lane racing to its
-    /// own copy of the accounting state.
-    pub(crate) deliveries: Vec<(SimTime, NodeId, Packet)>,
-    /// `ExpirySweep` pops on this lane. Every lane runs its own sweep
-    /// schedule; the canonical `events_processed` counts the sweep ticks
-    /// once, so the driver subtracts non-zero-shard sweep pops.
-    pub(crate) sweep_pops: u64,
-    /// Total events popped by this lane across all epochs; the driver sums
-    /// these (minus duplicate sweeps, plus centrally applied events) into
-    /// the canonical `events_processed`.
-    pub(crate) pops: u64,
-    /// Global per-node control-channel latency, snapshotted from the full
-    /// device set before partitioning. The controller lane dispatches
-    /// commands to switches owned by other shards, whose profiles are not
-    /// in its local device maps.
-    pub(crate) ctrl_latency: std::sync::Arc<Vec<SimDuration>>,
-    /// Wall-clock nanoseconds this lane spent executing the current epoch,
-    /// harvested (and reset) by the driver at each barrier. Only stamped
-    /// when `profile` is set.
-    pub(crate) epoch_busy_ns: f64,
-    /// `--profile-shards`: stamp `epoch_busy_ns` around each epoch. One
-    /// predicted branch per epoch (not per event) when off.
-    pub(crate) profile: bool,
-}
-
-fn origin_class(kind: NodeKind) -> u8 {
-    match kind {
-        NodeKind::PhysicalSwitch => 0,
-        NodeKind::VSwitch => 1,
-        NodeKind::Host => 3,
-        NodeKind::Middlebox => 4,
-    }
-}
-
-/// Origin-class rank of controller-emitted messages (see
-/// [`OutboxEntry::class`]).
-pub(crate) const ORIGIN_CLASS_CONTROLLER: u8 = 2;
-
 /// Per-origin chaos stream, forked lazily from the plan seed exactly like
 /// [`SimRng::fork`] derives child streams: mixing the origin id keeps every
-/// origin's draw sequence independent of all others, and therefore
-/// independent of which shard the origin runs on.
+/// origin's draw sequence independent of all others.
 fn chaos_stream(streams: &mut FxHashMap<u32, SimRng>, seed: u64, origin: u32) -> &mut SimRng {
     streams
         .entry(origin)
@@ -476,9 +376,7 @@ fn chaos_stream(streams: &mut FxHashMap<u32, SimRng>, seed: u64, origin: u32) ->
 
 /// A free list of message boxes. Control events carry their message boxed
 /// (see [`Event::CtrlFromSwitch`]); recycling the box of each delivered
-/// message means steady-state control traffic allocates nothing. Each
-/// shard lane keeps its own pools; a lane that mostly receives one
-/// direction stops keeping boxes at [`BoxPool::CAP`].
+/// message means steady-state control traffic allocates nothing.
 struct BoxPool<T> {
     free: Vec<Box<T>>,
 }
@@ -527,29 +425,17 @@ pub struct Simulation {
     pub topo: Topology,
     /// The controller application.
     pub app: ScotchApp,
-    /// Region node lists (one per rack in the rack-based topologies).
-    /// Consumed by sharded execution to build the [`scotch_net::Partition`];
-    /// empty means the scenario cannot shard and always runs sequentially.
-    pub regions: Vec<Vec<NodeId>>,
     pub(crate) physical: NodeMap<PhysicalSwitch>,
     pub(crate) vswitches: NodeMap<VSwitch>,
     pub(crate) middleboxes: NodeMap<Middlebox>,
     pub(crate) host_ip: NodeMap<IpAddr>,
     pub(crate) ip_host: FxHashMap<IpAddr, NodeId>,
     pub(crate) sources: Vec<(NodeId, Box<dyn FlowSource>)>,
-    /// Global source index per local source (identity sequentially; the
-    /// shard driver re-labels when it partitions sources across lanes).
-    pub(crate) source_ids: Vec<u32>,
     /// Next per-source flow ordinal (indexed like `sources`).
     pub(crate) source_seq: Vec<u32>,
     /// The flow ledger: one report-ready outcome per generated flow, in
     /// creation order, moved into [`Report::flows`] as is.
     pub(crate) flows: Vec<FlowOutcome>,
-    /// `(global source index, per-source ordinal)` of each entry of
-    /// `flows`. Filled on shard lanes only: the shard driver merges the
-    /// lanes' ledgers back into the sequential creation order from these
-    /// tags plus each source's `started_at` history.
-    pub(crate) flow_tags: Vec<(u32, u32)>,
     /// Expected concurrent flows, from the scenario's workload spec. The
     /// controller's per-flow state is reserved to this size when the run
     /// starts rather than when the scenario is built, so building touches
@@ -589,12 +475,6 @@ pub struct Simulation {
     /// kind; handlers overwrite it with a refined row (tunnel transit,
     /// PacketIn, FlowMod). Only written when the profiler is active.
     pub(crate) profile_kind: usize,
-    /// `--profile-shards`: ask sharded execution to attach an
-    /// [`EpochProfiler`] to the lockstep driver. Ignored sequentially.
-    pub(crate) shard_profiling: bool,
-    /// Per-lane busy/stall profile of a sharded run, filled in by the
-    /// driver at merge-back when `shard_profiling` was set.
-    pub(crate) epoch_profiler: Option<EpochProfiler>,
     /// Controller→switch messages sent, by message kind (dense arrays on
     /// the dispatch path; exported as `controller.tx.<kind>` at report
     /// time).
@@ -607,16 +487,13 @@ pub struct Simulation {
     /// Seed for the probabilistic fault draws (loss/dup/reorder), drawn
     /// from the RNG the scenario forked for the chaos harness. `Some` marks
     /// the harness active. Each perturbation *origin* (emitting node, or
-    /// the controller) lazily forks its own stream from this seed, so the
-    /// draw sequences are independent of how origins are spread over
-    /// shards.
+    /// the controller) lazily forks its own stream from this seed, so one
+    /// origin's draws never shift another's.
     pub(crate) chaos_seed: Option<u64>,
     /// Lazily forked per-origin chaos streams (see [`chaos_stream`]).
     pub(crate) chaos_streams: FxHashMap<u32, SimRng>,
     /// Live fault windows and the chaos accounting ledger.
     pub(crate) chaos: ChaosState,
-    /// Sharded-execution context (`None` sequentially).
-    pub(crate) shard: Option<ShardCtx>,
 }
 
 impl Simulation {
@@ -633,17 +510,14 @@ impl Simulation {
             controller_dropped: 0,
             topo,
             app,
-            regions: Vec::new(),
             physical: NodeMap::new(),
             vswitches: NodeMap::new(),
             middleboxes: NodeMap::new(),
             host_ip: NodeMap::new(),
             ip_host: FxHashMap::default(),
             sources: Vec::new(),
-            source_ids: Vec::new(),
             source_seq: Vec::new(),
             flows: Vec::new(),
-            flow_tags: Vec::new(),
             flow_capacity_hint: 0,
             flow_index: FlowIndex::default(),
             tracked: FxHashMap::default(),
@@ -660,15 +534,12 @@ impl Simulation {
             registry: MetricsRegistry::new(),
             profiler: None,
             profile_kind: 0,
-            shard_profiling: false,
-            epoch_profiler: None,
             ctrl_tx: [0; 6],
             ctrl_rx: [0; 6],
             fault_plan: Vec::new(),
             chaos_seed: None,
             chaos_streams: FxHashMap::default(),
             chaos: ChaosState::default(),
-            shard: None,
         }
     }
 
@@ -677,15 +548,6 @@ impl Simulation {
     /// canonical report, so enabling it cannot perturb golden fixtures.
     pub fn enable_profiling(&mut self) {
         self.profiler = Some(DispatchProfiler::new(PROFILE_KIND_NAMES.to_vec()));
-    }
-
-    /// Ask sharded execution to profile per-lane busy vs. barrier-stall
-    /// wall time (`--profile-shards`). Observability-only, like
-    /// [`Simulation::enable_profiling`]: the numbers surface in
-    /// [`Report::shard_profile`] and never feed the canonical report.
-    /// Sequential runs ignore it.
-    pub fn enable_shard_profiling(&mut self) {
-        self.shard_profiling = true;
     }
 
     /// Attach a physical switch device at its node.
@@ -712,7 +574,6 @@ impl Simulation {
     /// Attach a workload source. `default_host` emits flows whose source
     /// address is not a registered host (spoofed traffic).
     pub fn add_source(&mut self, default_host: NodeId, source: Box<dyn FlowSource>) {
-        self.source_ids.push(self.sources.len() as u32);
         self.source_seq.push(0);
         self.sources.push((default_host, source));
     }
@@ -766,8 +627,7 @@ impl Simulation {
         self.fault_plan = plan.events.clone();
         // One seed, per-origin streams forked from it on demand — the same
         // fork discipline as workload streams, chosen so a draw sequence
-        // belongs to its origin rather than to a global interleaving (which
-        // would differ between shard counts).
+        // belongs to its origin rather than to a global interleaving.
         self.chaos_seed = Some(rng.u64());
     }
 
@@ -969,8 +829,9 @@ impl Simulation {
                     return;
                 }
                 let node = candidates[target as usize % candidates.len()];
-                // A hostile plan must not panic the sim: the OFA asserts the
-                // factor is finite and positive, so clamp before applying.
+                // `FaultPlan::parse` rejects non-positive factors, but a plan
+                // built in code is unchecked and the OFA asserts the factor
+                // is finite and positive, so clamp before applying.
                 let factor = if factor.is_finite() {
                     factor.max(1e-3)
                 } else {
@@ -1060,7 +921,7 @@ impl Simulation {
     /// migrating to its first live standby, and the handoff completion is
     /// scheduled through the event queue so the failover replays
     /// bit-identically. No-op without a cluster.
-    pub(crate) fn crash_replica(&mut self, now: SimTime, replica: u32) {
+    fn crash_replica(&mut self, now: SimTime, replica: u32) {
         let Some(cluster) = self.app.cluster.as_mut() else {
             return;
         };
@@ -1112,7 +973,7 @@ impl Simulation {
         }
     }
 
-    pub(crate) fn set_ofa_slowdown(&mut self, node: NodeId, factor: f64) {
+    fn set_ofa_slowdown(&mut self, node: NodeId, factor: f64) {
         if let Some(sw) = self.physical.get_mut(node) {
             sw.set_ofa_slowdown(factor);
         } else if let Some(vs) = self.vswitches.get_mut(node) {
@@ -1142,19 +1003,11 @@ impl Simulation {
         }
     }
 
-    pub(crate) fn control_latency(&self, node: NodeId) -> SimDuration {
+    fn control_latency(&self, node: NodeId) -> SimDuration {
         if let Some(s) = self.physical.get(node) {
             s.control_latency()
         } else if let Some(v) = self.vswitches.get(node) {
             v.control_latency()
-        } else if let Some(d) = self
-            .shard
-            .as_ref()
-            .and_then(|ctx| ctx.ctrl_latency.get(node.0 as usize).copied())
-        {
-            // The controller lane dispatches to switches owned by other
-            // shards; their latency comes from the pre-partition table.
-            d
         } else {
             SimDuration::from_millis(1)
         }
@@ -1171,7 +1024,7 @@ impl Simulation {
     }
 
     /// Send every command in `commands` (leaving it empty for reuse).
-    pub(crate) fn dispatch_commands(&mut self, now: SimTime, commands: &mut Vec<Command>) {
+    fn dispatch_commands(&mut self, now: SimTime, commands: &mut Vec<Command>) {
         for cmd in commands.drain(..) {
             let kind = ctrl_tx_kind(&cmd.msg);
             self.ctrl_tx[kind] += 1;
@@ -1254,57 +1107,8 @@ impl Simulation {
                 }
             }
             let msg = self.to_switch_boxes.boxed(cmd.msg);
-            self.push_ctrl_to(now, at, cmd.to, msg);
-        }
-    }
-
-    /// Push (or, sharded, outbox) a controller→switch delivery.
-    fn push_ctrl_to(
-        &mut self,
-        now: SimTime,
-        deliver: SimTime,
-        to: NodeId,
-        msg: Box<ControllerToSwitch>,
-    ) {
-        let ev = Event::CtrlToSwitch { to, msg };
-        if let Some(ctx) = self.shard.as_mut() {
-            // Every control delivery is outboxed in shard mode — even a
-            // shard-local one — so the canonical (deliver, gen, class,
-            // origin) ordering pass sees the same candidate set for every
-            // shard count. Control latency is never below the lookahead
-            // bound, so the entry is always due after the epoch ends.
-            ctx.outbox.push(OutboxEntry {
-                deliver,
-                gen: now,
-                class: ORIGIN_CLASS_CONTROLLER,
-                origin: u32::MAX,
-                ev,
-            });
-        } else {
-            self.events.push(deliver, ev);
-        }
-    }
-
-    /// Push (or, sharded, outbox) a switch→controller delivery.
-    fn push_ctrl_from(
-        &mut self,
-        now: SimTime,
-        deliver: SimTime,
-        from: NodeId,
-        msg: Box<SwitchToController>,
-    ) {
-        let class = origin_class(self.topo.kind(from));
-        let ev = Event::CtrlFromSwitch { from, msg };
-        if let Some(ctx) = self.shard.as_mut() {
-            ctx.outbox.push(OutboxEntry {
-                deliver,
-                gen: now,
-                class,
-                origin: from.0,
-                ev,
-            });
-        } else {
-            self.events.push(deliver, ev);
+            self.events
+                .push(at, Event::CtrlToSwitch { to: cmd.to, msg });
         }
     }
 
@@ -1348,8 +1152,7 @@ impl Simulation {
 
     /// The traced journey a controller→switch command affects, if any.
     /// PacketOuts carry the packet itself; FlowMod Adds resolve through
-    /// the hub-side cookie → key → journey maps (both live on the
-    /// controller lane, so the answer is shard-invariant).
+    /// the controller's cookie → key → journey maps.
     #[inline]
     fn journey_of_cmd(&self, msg: &ControllerToSwitch) -> Option<u64> {
         if !self.app.journeys.is_enabled() {
@@ -1376,27 +1179,6 @@ impl Simulation {
     fn transmit(&mut self, now: SimTime, from: NodeId, out_port: PortId, packet: Packet) {
         match self.topo.transmit(now, from, out_port, packet.size) {
             Some((to, in_port, at)) => {
-                if let Some(ctx) = self.shard.as_mut() {
-                    if ctx.part.shard_of(to) != ctx.shard {
-                        // Cross-shard arrival: the from-link is always owned
-                        // here (its queue/counters live in this lane's topo
-                        // clone); only the arrival event crosses. Its delay
-                        // is at least the link propagation, which the
-                        // lookahead bound is the minimum of.
-                        ctx.outbox.push(OutboxEntry {
-                            deliver: at,
-                            gen: now,
-                            class: origin_class(self.topo.kind(from)),
-                            origin: from.0,
-                            ev: Event::Arrive {
-                                node: to,
-                                port: in_port,
-                                packet,
-                            },
-                        });
-                        return;
-                    }
-                }
                 self.events.push(
                     at,
                     Event::Arrive {
@@ -1508,10 +1290,17 @@ impl Simulation {
                     }
                     if duplicate {
                         let copy = self.from_switch_boxes.boxed(msg.clone());
-                        self.push_ctrl_from(now, deliver, node, copy);
+                        self.events.push(
+                            deliver,
+                            Event::CtrlFromSwitch {
+                                from: node,
+                                msg: copy,
+                            },
+                        );
                     }
                     let msg = self.from_switch_boxes.boxed(msg);
-                    self.push_ctrl_from(now, deliver, node, msg);
+                    self.events
+                        .push(deliver, Event::CtrlFromSwitch { from: node, msg });
                 }
                 Output::Dropped { reason, packet } => {
                     let code = match reason {
@@ -1608,21 +1397,8 @@ impl Simulation {
     }
 
     fn deliver(&mut self, now: SimTime, host: NodeId, packet: Packet) {
-        // Journey terminal — recorded lane-side (before the sharded defer
-        // below) so the mark lands at event time on the lane owning the
-        // host, exactly as in the sequential engine. The driver's
-        // accounting mirror must NOT record a second mark.
         if self.app.journeys.is_enabled() && self.host_ip.get(host) == Some(&packet.key.dst) {
             self.journey_mark(now, &packet, JourneyPoint::Deliver, host.0, 0);
-        }
-        if let Some(ctx) = self.shard.as_mut() {
-            // Delivery only mutates accounting (flow record, latency
-            // histogram, tracked samples) — it schedules nothing and
-            // touches no device. Defer it to the driver, which applies all
-            // shards' deliveries at the barrier in global time order
-            // against the single authoritative accounting state.
-            ctx.deliveries.push((now, host, packet));
-            return;
         }
         let expected = self.host_ip.get(host);
         if expected != Some(&packet.key.dst) {
@@ -1666,9 +1442,6 @@ impl Simulation {
         self.flow_index.insert(flow.id, flow_idx);
         let seq = self.source_seq[source_idx];
         self.source_seq[source_idx] = seq + 1;
-        if self.shard.is_some() {
-            self.flow_tags.push((self.source_ids[source_idx], seq));
-        }
         self.flows.push(FlowOutcome::started(&flow, at));
         self.events.push(
             at,
@@ -1682,12 +1455,6 @@ impl Simulation {
     }
 
     fn on_emit(&mut self, now: SimTime, flow_idx: u32, seq: u32, src_host: NodeId, spec: FlowSpec) {
-        debug_assert!(
-            self.shard
-                .as_ref()
-                .is_none_or(|c| c.part.shard_of(src_host) == c.shard),
-            "flow emitted on a lane that does not own its source host"
-        );
         let mut packet = if seq == 0 {
             Packet::flow_start(spec.key, spec.id, now).with_size(spec.packet_size)
         } else {
@@ -1725,12 +1492,7 @@ impl Simulation {
     /// uplink port — that is a scenario construction error, not a runtime
     /// condition, and silently misdirecting its traffic would corrupt
     /// every downstream metric.
-    ///
-    /// In shard mode the controller timers (tick / stats poll / heartbeat)
-    /// are seeded on shard 0 only — the controller lives there — while the
-    /// expiry sweep runs on every lane (each lane sweeps its own devices)
-    /// and each lane seeds the sources it owns.
-    pub(crate) fn start(&mut self) {
+    fn start(&mut self) {
         if self.flow_capacity_hint > 0 {
             self.app.reserve_flow_capacity(self.flow_capacity_hint);
         }
@@ -1754,13 +1516,11 @@ impl Simulation {
         let tick = self.app.config.tick_interval;
         let poll = self.app.config.stats_poll_interval;
         let hb = self.app.config.heartbeat_period;
-        if self.shard.as_ref().is_none_or(|c| c.shard == 0) {
-            self.events
-                .push(SimTime::ZERO + tick, Event::ControllerTick);
-            if self.app.mode == ControllerMode::Scotch {
-                self.events.push(SimTime::ZERO + poll, Event::StatsPoll);
-                self.events.push(SimTime::ZERO + hb, Event::Heartbeat);
-            }
+        self.events
+            .push(SimTime::ZERO + tick, Event::ControllerTick);
+        if self.app.mode == ControllerMode::Scotch {
+            self.events.push(SimTime::ZERO + poll, Event::StatsPoll);
+            self.events.push(SimTime::ZERO + hb, Event::Heartbeat);
         }
         self.events
             .push(SimTime::ZERO + self.sweep_interval, Event::ExpirySweep);
@@ -1791,7 +1551,7 @@ impl Simulation {
             self.process_event(now, ev);
         }
 
-        if !self.fault_plan.is_empty() {
+        if self.chaos_seed.is_some() {
             // Tally everything still queued past the horizon so the chaos
             // conservation invariants reconcile exactly (messages in flight
             // are neither delivered nor lost — they are accounted).
@@ -1804,36 +1564,16 @@ impl Simulation {
         self.into_report(until, processed)
     }
 
-    /// Pop and process every event strictly before `bound`, returning the
-    /// number of events processed. Shard lanes advance through one epoch
-    /// with this; the epoch driver guarantees no cross-shard event earlier
-    /// than `bound` can still arrive.
-    pub(crate) fn run_epoch(&mut self, bound: SimTime) -> u64 {
-        let mut processed = 0u64;
-        while self.events.peek_time().is_some_and(|t| t < bound) {
-            let (now, ev) = self.events.pop().expect("peeked event present");
-            processed += ev.model_events();
-            if matches!(ev, Event::ExpirySweep) {
-                if let Some(ctx) = self.shard.as_mut() {
-                    ctx.sweep_pops += 1;
-                }
-            }
-            self.process_event(now, ev);
-        }
-        processed
-    }
-
     /// Drain the queue into the chaos in-flight tally (end-of-run
     /// reconciliation for fault-plan scenarios).
-    pub(crate) fn tally_remaining(&mut self) {
+    fn tally_remaining(&mut self) {
         while let Some((_, ev)) = self.events.pop() {
             self.chaos.tally_in_flight(&ev);
         }
     }
 
-    /// Process one event. Extracted from the run loop so shard lanes and
-    /// the sequential driver share byte-identical semantics.
-    pub(crate) fn process_event(&mut self, now: SimTime, ev: Event) {
+    /// Process one event.
+    fn process_event(&mut self, now: SimTime, ev: Event) {
         // The profiler is `None` on every measured path; the stamp is a
         // single well-predicted branch per event when disabled.
         let prof = self.profiler.as_ref().map(|_| std::time::Instant::now());
@@ -2039,37 +1779,24 @@ impl Simulation {
                 }
                 // Once-per-sweep (1 Hz sim-time) gauge sampling: cheap,
                 // deterministic, and off the per-packet path entirely.
-                // Only the hub lane samples — the controller (and its
-                // registry that survives into the report) lives there.
-                if self.shard.as_ref().is_none_or(|c| c.shard == 0) {
-                    self.registry.sample(
-                        "controller.flowdb.size",
-                        now,
-                        self.app.flowdb.len() as f64,
-                    );
-                    self.registry.sample(
-                        "controller.backlog",
-                        now,
-                        self.app.total_backlog() as f64,
-                    );
-                    self.registry
-                        .sample("sim.event_queue.len", now, self.events.len() as f64);
-                    self.registry.sample(
-                        "overlay.mesh_live",
-                        now,
-                        self.app.overlay.alive.iter().filter(|a| **a).count() as f64,
-                    );
-                    self.registry.sample(
-                        "overlay.standby_remaining",
-                        now,
-                        self.app.overlay.backups.len() as f64,
-                    );
-                    self.registry.sample(
-                        "monitor.cache_size",
-                        now,
-                        self.app.telemetry.len() as f64,
-                    );
-                }
+                self.registry
+                    .sample("controller.flowdb.size", now, self.app.flowdb.len() as f64);
+                self.registry
+                    .sample("controller.backlog", now, self.app.total_backlog() as f64);
+                self.registry
+                    .sample("sim.event_queue.len", now, self.events.len() as f64);
+                self.registry.sample(
+                    "overlay.mesh_live",
+                    now,
+                    self.app.overlay.alive.iter().filter(|a| **a).count() as f64,
+                );
+                self.registry.sample(
+                    "overlay.standby_remaining",
+                    now,
+                    self.app.overlay.backups.len() as f64,
+                );
+                self.registry
+                    .sample("monitor.cache_size", now, self.app.telemetry.len() as f64);
                 self.events
                     .push(now + self.sweep_interval, Event::ExpirySweep);
             }
@@ -2196,7 +1923,7 @@ impl Simulation {
         }
     }
 
-    pub(crate) fn into_report(mut self, until: SimTime, events_processed: u64) -> Report {
+    fn into_report(mut self, until: SimTime, events_processed: u64) -> Report {
         let mut drops = self.drops;
         drops.link_queue += self.topo.total_link_drops();
         drops.link_faults = self.topo.total_link_faults();
@@ -2250,8 +1977,8 @@ impl Simulation {
         reg.add("middlebox.rejections", middlebox_rejections);
         reg.add("sim.misrouted", self.misrouted);
         reg.add("sim.events_processed", events_processed);
-        // High-water pending count of this engine's queue (the hub lane's
-        // on sharded runs): the operating point the heap queue is sized for.
+        // High-water pending count of the event queue: the operating point
+        // the heap queue is sized for.
         reg.add("sim.event_queue.peak", self.events.peak_len() as u64);
         for (i, &n) in self.ctrl_tx.iter().enumerate() {
             reg.add(&format!("controller.tx.{}", CTRL_TX_KIND_NAMES[i]), n);
@@ -2312,7 +2039,7 @@ impl Simulation {
                 }
             }
         }
-        if !self.fault_plan.is_empty() {
+        if self.chaos_seed.is_some() {
             // Chaos ledger: only exported when a fault plan was attached, so
             // fault-free golden runs keep their exact metric surface.
             let c = &self.chaos;
@@ -2385,7 +2112,6 @@ impl Simulation {
             trace,
             journeys: journeys.take_marks(),
             profile,
-            shard_profile: self.epoch_profiler,
         }
     }
 }

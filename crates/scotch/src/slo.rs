@@ -14,10 +14,10 @@
 //!
 //! Metrics are measured against a run's [`LatencyDecomposition`] (built
 //! from the canonical journey-mark stream, so a check's verdict is
-//! bit-deterministic per `(scenario, seed, rate)` and shard-count
-//! invariant). Checking follows the `chaos` exit-code convention: 0 when
-//! every rule holds, 1 when any rule is violated; usage errors (a table
-//! that does not parse) are the caller's 2.
+//! bit-deterministic per `(scenario, seed, rate)`). Checking follows the
+//! `chaos` exit-code convention: 0 when every rule holds, 1 when any rule
+//! is violated; usage errors (a table that does not parse) are the
+//! caller's 2.
 
 use scotch_sim::journey::{LatencyDecomposition, Stage, STAGES};
 
@@ -429,7 +429,6 @@ mod tests {
             journey,
             at: SimTime::from_nanos(at_us * 1_000),
             point,
-            shard: 0,
             node: 1,
             info: 0,
         }

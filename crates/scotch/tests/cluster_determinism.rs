@@ -1,95 +1,13 @@
 //! Controller-cluster determinism: a replicated control plane must not
-//! cost the engine its core contract. A 3-replica cluster under the
-//! golden failover plan replays byte-identically at every shard count,
-//! and a cluster of size 1 degenerates byte-for-byte to the
-//! single-controller engine on the golden scenario shapes.
+//! cost the engine its core contract. Failover handoffs are attributed in
+//! the journey stream, and a cluster of size 1 degenerates byte-for-byte
+//! to the single-controller engine on the golden scenario shapes.
 
 use scotch::scenario::Scenario;
 use scotch_sim::fault::{FaultKind, FaultPlan};
 use scotch_sim::journey::JourneyPoint;
 use scotch_sim::{SimDuration, SimTime};
 use scotch_switch::SwitchProfile;
-
-/// The determinism matrix's multi-rack shape, with a 3-replica cluster.
-fn cluster_scenario(racks: usize) -> Scenario {
-    Scenario::multirack(racks, 1)
-        .with_interrack_propagation(SimDuration::from_micros(200))
-        .with_rack_clients(150.0)
-        .with_attack(400.0)
-        .with_clients(80.0)
-        .with_controllers(3)
-        .with_sync_latency(SimDuration::from_micros(500))
-}
-
-/// The golden failover plan: crash a replica (with restart), partition the
-/// coordination channel, then crash a second replica for good.
-fn failover_plan() -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    plan.push(
-        SimTime::from_millis(80),
-        FaultKind::ReplicaCrash {
-            target: 0,
-            restart_after: Some(SimDuration::from_millis(120)),
-        },
-    );
-    plan.push(
-        SimTime::from_millis(150),
-        FaultKind::CtrlPartition {
-            duration: SimDuration::from_millis(40),
-        },
-    );
-    plan.push(
-        SimTime::from_millis(260),
-        FaultKind::ReplicaCrash {
-            target: 1,
-            restart_after: None,
-        },
-    );
-    plan
-}
-
-#[test]
-fn cluster_failover_is_shard_invariant() {
-    let until = SimTime::from_millis(400);
-    let seed = 20141202;
-    let build = || cluster_scenario(4).with_fault_plan(failover_plan());
-    let base = build().run(until, seed);
-    assert!(
-        base.metrics.get("ctrl.cluster.handoffs").unwrap_or(0.0) >= 1.0,
-        "failover plan produced no handoffs; the invariance check would be vacuous"
-    );
-    let golden = base.canonical_json();
-    for shards in [2usize, 4, 8] {
-        let got = build().run_sharded(until, seed, shards, 0).canonical_json();
-        assert_eq!(
-            got, golden,
-            "cluster canonical report diverged at --shards {shards}"
-        );
-    }
-}
-
-#[test]
-fn cluster_journey_stream_is_shard_invariant() {
-    // Handoff annotations and replica attribution ride the journey stream,
-    // which is excluded from the canonical report — pin it separately.
-    let until = SimTime::from_millis(400);
-    let seed = 20141202;
-    let build = || {
-        cluster_scenario(4)
-            .with_fault_plan(failover_plan())
-            .with_journey_rate(0.25)
-    };
-    let base = build().run(until, seed);
-    assert!(!base.journeys.is_empty());
-    let golden = base.journeys_jsonl();
-    for shards in [2usize, 4] {
-        let got = build().run_sharded(until, seed, shards, 1).journeys_jsonl();
-        assert_eq!(
-            got, golden,
-            "cluster journey JSONL diverged at --shards {shards}"
-        );
-    }
-}
 
 #[test]
 fn failover_marks_handoffs_and_replicas_in_journeys() {

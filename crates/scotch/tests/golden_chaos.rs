@@ -106,6 +106,44 @@ fn pinned_chaos_plan_passes_all_invariants() {
     );
 }
 
+/// Regression: an attached but empty fault plan is a fault-free run and
+/// must pass every invariant. The FlowMod and Packet-In ledgers count from
+/// the moment a plan is attached, so the in-flight tally and the
+/// `chaos.*` export must follow the same gate. A mismatch breaks I4's
+/// FlowMod check at 2 s and its Packet-In check at 0.5 s.
+#[test]
+fn empty_fault_plan_passes_all_invariants() {
+    let plan = FaultPlan::new();
+    let cfg = ChaosConfig::for_scotch(&ScotchConfig::default());
+    for until in [SimTime::from_millis(500), SimTime::from_secs(2)] {
+        let outcome = chaos::run_plan(
+            &|| {
+                Scenario::overlay_datacenter(4)
+                    .with_servers(2)
+                    .with_clients(100.0)
+            },
+            1,
+            until,
+            &plan,
+            &cfg,
+        );
+        assert!(
+            outcome.violations.is_empty(),
+            "empty plan violated invariants at {until:?}:\n{}",
+            chaos::render_violations(&outcome.violations)
+        );
+        assert!(
+            outcome
+                .report
+                .metrics
+                .get("chaos.flowmod_add.sent")
+                .unwrap_or(0.0)
+                > 0.0,
+            "the FlowMod ledger must be exported so the check is not vacuous"
+        );
+    }
+}
+
 /// Regression: a deliberately impossible failover bound must be *caught* —
 /// the checker itself is under test here, not the simulator.
 #[test]

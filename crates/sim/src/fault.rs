@@ -379,7 +379,7 @@ impl FaultPlan {
                 },
                 "ofa_slowdown" => FaultKind::OfaSlowdown {
                     target: fields.req_u32("target")?,
-                    factor: fields.req_f64("factor")?,
+                    factor: fields.req_positive("factor")?,
                     duration: fields.req_dur("duration_ns")?,
                 },
                 "controller_stall" => FaultKind::ControllerStall {
@@ -468,6 +468,14 @@ impl Fields {
             .map_err(|_| err(self.lineno, &format!("bad number `{key}={v}`")))?;
         if !f.is_finite() {
             return Err(err(self.lineno, &format!("non-finite `{key}={v}`")));
+        }
+        Ok(f)
+    }
+
+    fn req_positive(&self, key: &str) -> Result<f64, String> {
+        let f = self.req_f64(key)?;
+        if f <= 0.0 {
+            return Err(err(self.lineno, &format!("`{key}={f}` must be positive")));
         }
         Ok(f)
     }
@@ -585,6 +593,8 @@ mod tests {
             "10 ctrl_loss p=1.5 duration_ns=1",         // probability out of range
             "10 ctrl_loss p=nope duration_ns=1",        // malformed number
             "10 link_down target=0 duration_ns=1 zing", // not key=value
+            "10 ofa_slowdown target=0 factor=-3 duration_ns=1", // negative factor
+            "10 ofa_slowdown target=0 factor=0 duration_ns=1", // zero factor
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "expected error for {bad:?}");
         }

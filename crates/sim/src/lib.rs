@@ -39,10 +39,7 @@ pub use journey::{
     JourneyConfig, JourneyMark, JourneyPoint, JourneyRecorder, JourneyView, LatencyDecomposition,
     Span, Stage,
 };
-pub use registry::{
-    DispatchProfiler, EpochProfiler, LaneProfileEntry, MetricsRegistry, MetricsSnapshot,
-    ProfileEntry,
-};
+pub use registry::{DispatchProfiler, MetricsRegistry, MetricsSnapshot, ProfileEntry};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceCategory, TraceConfig, TraceEvent, TraceLevel, TraceRecord, TraceRecorder};

@@ -266,142 +266,6 @@ impl DispatchProfiler {
     }
 }
 
-/// Per-lane wall-clock profile of the sharded lockstep executor.
-///
-/// The same contract as [`DispatchProfiler`]: wall-clock, observability
-/// only, never part of a golden report. The shard driver feeds it one
-/// `record_epoch` call per epoch with each lane's busy nanoseconds; the
-/// epoch's wall span is the slowest lane (the barrier waits for it), so
-/// per-lane stall is `span - busy` and the slowest lane is the epoch's
-/// critical lane.
-#[derive(Debug, Clone)]
-pub struct EpochProfiler {
-    busy_ns: Vec<f64>,
-    stall_ns: Vec<f64>,
-    util: Vec<Histogram>,
-    critical: Vec<u64>,
-    epochs: u64,
-    span: Histogram,
-    barrier_ns: f64,
-    total_ns: f64,
-}
-
-/// One lane row of an [`EpochProfiler`] report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneProfileEntry {
-    /// Lane (shard) index; lane 0 is the hub.
-    pub lane: usize,
-    /// Total busy wall-clock ns across all epochs.
-    pub busy_ns: f64,
-    /// Total barrier-stall wall-clock ns (epoch span minus busy).
-    pub stall_ns: f64,
-    /// Lifetime utilization: `busy / (busy + stall)`.
-    pub utilization: f64,
-    /// Median per-epoch utilization.
-    pub util_p50: f64,
-    /// 99th-percentile per-epoch utilization.
-    pub util_p99: f64,
-    /// Epochs in which this lane was the slowest (bounded the barrier).
-    pub critical_epochs: u64,
-}
-
-impl EpochProfiler {
-    /// A profiler for `lanes` lockstep lanes.
-    pub fn new(lanes: usize) -> Self {
-        EpochProfiler {
-            busy_ns: vec![0.0; lanes],
-            stall_ns: vec![0.0; lanes],
-            util: (0..lanes).map(|_| Histogram::new()).collect(),
-            critical: vec![0; lanes],
-            epochs: 0,
-            span: Histogram::new(),
-            barrier_ns: 0.0,
-            total_ns: 0.0,
-        }
-    }
-
-    /// Record one completed epoch from each lane's busy wall-clock ns.
-    pub fn record_epoch(&mut self, busy_ns: &[f64]) {
-        debug_assert_eq!(busy_ns.len(), self.busy_ns.len());
-        let span = busy_ns.iter().cloned().fold(0.0_f64, f64::max);
-        let mut critical = 0;
-        for (lane, &busy) in busy_ns.iter().enumerate() {
-            self.busy_ns[lane] += busy;
-            self.stall_ns[lane] += span - busy;
-            if span > 0.0 {
-                self.util[lane].record(busy / span);
-            }
-            if busy > busy_ns[critical] {
-                critical = lane;
-            }
-        }
-        self.critical[critical] += 1;
-        self.epochs += 1;
-        self.span.record(span);
-    }
-
-    /// Attach whole-run wall totals measured outside the per-epoch loop:
-    /// driver-side barrier time and the full lockstep wall.
-    pub fn set_walls(&mut self, barrier_ns: f64, total_ns: f64) {
-        self.barrier_ns = barrier_ns;
-        self.total_ns = total_ns;
-    }
-
-    /// Number of lanes profiled.
-    pub fn lanes(&self) -> usize {
-        self.busy_ns.len()
-    }
-
-    /// Epochs recorded.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Total driver-side barrier wall-clock ns (set via `set_walls`).
-    pub fn barrier_ns(&self) -> f64 {
-        self.barrier_ns
-    }
-
-    /// Total lockstep wall-clock ns (set via `set_walls`).
-    pub fn total_ns(&self) -> f64 {
-        self.total_ns
-    }
-
-    /// Per-epoch span (slowest-lane busy time) distribution.
-    pub fn span_hist(&self) -> &Histogram {
-        &self.span
-    }
-
-    /// Per-lane summary rows, in lane order.
-    pub fn lane_rows(&self) -> Vec<LaneProfileEntry> {
-        (0..self.busy_ns.len())
-            .map(|lane| {
-                let busy = self.busy_ns[lane];
-                let stall = self.stall_ns[lane];
-                let denom = busy + stall;
-                LaneProfileEntry {
-                    lane,
-                    busy_ns: busy,
-                    stall_ns: stall,
-                    utilization: if denom > 0.0 { busy / denom } else { 0.0 },
-                    util_p50: self.util[lane].quantile(0.5),
-                    util_p99: self.util[lane].quantile(0.99),
-                    critical_epochs: self.critical[lane],
-                }
-            })
-            .collect()
-    }
-
-    /// Mean lifetime utilization across all lanes.
-    pub fn mean_utilization(&self) -> f64 {
-        let rows = self.lane_rows();
-        if rows.is_empty() {
-            return 0.0;
-        }
-        rows.iter().map(|r| r.utilization).sum::<f64>() / rows.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,38 +327,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.get("empty.count"), Some(0.0));
         assert_eq!(snap.get("empty.mean"), None);
-    }
-
-    #[test]
-    fn epoch_profiler_attributes_stall_and_critical_lanes() {
-        let mut p = EpochProfiler::new(3);
-        // Lane 2 bounds the first two epochs, lane 0 the third.
-        p.record_epoch(&[100.0, 50.0, 200.0]);
-        p.record_epoch(&[100.0, 50.0, 200.0]);
-        p.record_epoch(&[300.0, 50.0, 200.0]);
-        assert_eq!(p.epochs(), 3);
-        let rows = p.lane_rows();
-        assert_eq!(rows.len(), 3);
-        // Lane 2: busy 600, stall (200-200)+(200-200)+(300-200)=100.
-        assert_eq!(rows[2].busy_ns, 600.0);
-        assert_eq!(rows[2].stall_ns, 100.0);
-        assert_eq!(rows[2].critical_epochs, 2);
-        assert_eq!(rows[0].critical_epochs, 1);
-        // Lane 1 is mostly idle: busy 150 of 700 elapsed.
-        assert!(rows[1].utilization < 0.25);
-        assert!(rows[2].utilization > 0.85);
-        assert!(p.mean_utilization() > 0.0 && p.mean_utilization() < 1.0);
-    }
-
-    #[test]
-    fn epoch_profiler_walls_are_attached_not_derived() {
-        let mut p = EpochProfiler::new(2);
-        p.record_epoch(&[10.0, 20.0]);
-        assert_eq!(p.barrier_ns(), 0.0);
-        p.set_walls(5.0, 40.0);
-        assert_eq!(p.barrier_ns(), 5.0);
-        assert_eq!(p.total_ns(), 40.0);
-        assert_eq!(p.span_hist().count(), 1);
     }
 
     #[test]

@@ -53,16 +53,13 @@ pub enum TraceCategory {
     Health,
     /// Injected faults (chaos harness) and their restorations.
     Fault,
-    /// Sharded-execution epochs and inter-shard handoffs (recorded by the
-    /// lockstep driver on the hub lane; sequential runs never emit these).
-    Shard,
     /// Controller-cluster mastership: replica crashes, recoveries,
     /// coordination-channel partitions, and per-switch mastership handoffs.
     Cluster,
 }
 
 /// Number of trace categories (size of the per-category level table).
-pub const TRACE_CATEGORIES: usize = 10;
+pub const TRACE_CATEGORIES: usize = 9;
 
 impl TraceCategory {
     /// All categories, in a fixed order matching [`TraceCategory::index`].
@@ -75,7 +72,6 @@ impl TraceCategory {
         TraceCategory::Group,
         TraceCategory::Health,
         TraceCategory::Fault,
-        TraceCategory::Shard,
         TraceCategory::Cluster,
     ];
 
@@ -96,7 +92,6 @@ impl TraceCategory {
             TraceCategory::Group => "group",
             TraceCategory::Health => "health",
             TraceCategory::Fault => "fault",
-            TraceCategory::Shard => "shard",
             TraceCategory::Cluster => "cluster",
         }
     }
@@ -249,32 +244,6 @@ pub enum TraceEvent {
         /// 3 = delayed (reorder).
         kind: u32,
     },
-    /// The lockstep driver opened a new execution epoch: every lane may run
-    /// up to `width` ns of sim-time before the next barrier.
-    EpochOpened {
-        /// Zero-based epoch index.
-        epoch: u32,
-        /// Granted epoch width in sim-time ns (lookahead, clamped by the
-        /// next central-timeline entry and the horizon).
-        width: u64,
-    },
-    /// A completed epoch's event total, recorded at the closing barrier.
-    EpochClosed {
-        /// Zero-based epoch index.
-        epoch: u32,
-        /// Events processed across all lanes during the epoch.
-        events: u64,
-    },
-    /// Events crossed a shard boundary at a barrier (one record per
-    /// `(src, dst)` pair with traffic).
-    ShardHandoff {
-        /// Sending shard.
-        src: u32,
-        /// Receiving shard.
-        dst: u32,
-        /// Events handed off.
-        events: u32,
-    },
     /// A controller replica crashed; its switches enter mastership
     /// migration toward their standbys.
     ReplicaCrashed {
@@ -330,9 +299,6 @@ impl TraceEvent {
             TraceEvent::FaultInjected { .. }
             | TraceEvent::FaultCleared { .. }
             | TraceEvent::CtrlMsgPerturbed { .. } => TraceCategory::Fault,
-            TraceEvent::EpochOpened { .. }
-            | TraceEvent::EpochClosed { .. }
-            | TraceEvent::ShardHandoff { .. } => TraceCategory::Shard,
             TraceEvent::ReplicaCrashed { .. }
             | TraceEvent::ReplicaRecovered { .. }
             | TraceEvent::ClusterPartitioned { .. }
@@ -351,8 +317,7 @@ impl TraceEvent {
             | TraceEvent::FlowDropped { .. }
             | TraceEvent::RuleInstalled { .. }
             | TraceEvent::PacketInEmitted { .. }
-            | TraceEvent::CtrlMsgPerturbed { .. }
-            | TraceEvent::ShardHandoff { .. } => TraceLevel::Verbose,
+            | TraceEvent::CtrlMsgPerturbed { .. } => TraceLevel::Verbose,
             _ => TraceLevel::Brief,
         }
     }
@@ -375,9 +340,6 @@ impl TraceEvent {
             TraceEvent::FaultInjected { .. } => "fault_injected",
             TraceEvent::FaultCleared { .. } => "fault_cleared",
             TraceEvent::CtrlMsgPerturbed { .. } => "ctrl_msg_perturbed",
-            TraceEvent::EpochOpened { .. } => "epoch_opened",
-            TraceEvent::EpochClosed { .. } => "epoch_closed",
-            TraceEvent::ShardHandoff { .. } => "shard_handoff",
             TraceEvent::ReplicaCrashed { .. } => "replica_crashed",
             TraceEvent::ReplicaRecovered { .. } => "replica_recovered",
             TraceEvent::ClusterPartitioned { .. } => "cluster_partitioned",
@@ -462,17 +424,6 @@ impl TraceEvent {
                 vec![("kind", kind as u64), ("target", target as u64)]
             }
             TraceEvent::CtrlMsgPerturbed { kind } => vec![("kind", kind as u64)],
-            TraceEvent::EpochOpened { epoch, width } => {
-                vec![("epoch", epoch as u64), ("width", width)]
-            }
-            TraceEvent::EpochClosed { epoch, events } => {
-                vec![("epoch", epoch as u64), ("events", events)]
-            }
-            TraceEvent::ShardHandoff { src, dst, events } => vec![
-                ("src", src as u64),
-                ("dst", dst as u64),
-                ("events", events as u64),
-            ],
             TraceEvent::ReplicaCrashed { replica, switches } => {
                 vec![("replica", replica as u64), ("switches", switches as u64)]
             }

@@ -9,10 +9,9 @@
 //!
 //! The per-packet decision stream is drawn from a dedicated [`SimRng`]
 //! forked off the scenario seed per vSwitch (the same forking discipline
-//! as the fault engine and the shard lanes), so the full sample sequence
-//! is bit-reproducible per `(scenario, seed, rate)` and invariant to the
-//! shard count — a vSwitch sees its packets in the same canonical order
-//! on every partitioning.
+//! as the fault engine), so the full sample sequence is bit-reproducible
+//! per `(scenario, seed, rate)` and one vSwitch's draws never depend on
+//! another's traffic.
 //!
 //! Rather than drawing one uniform per packet, the sampler draws a
 //! *geometric skip*: the number of consecutive non-sampled packets before

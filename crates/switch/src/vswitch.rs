@@ -122,7 +122,7 @@ impl VSwitch {
     /// traffic (plus, at `rate ≥ 1.0`, every installed flow — that is
     /// what makes rate 1.0 reproduce exhaustive replies exactly). `rng`
     /// must be forked deterministically per vSwitch from the scenario
-    /// seed so replays and sharded runs see the identical pick sequence.
+    /// seed so replays see the identical pick sequence.
     pub fn enable_sampling(&mut self, rate: f64, rng: SimRng) {
         self.sampler = Some(PacketSampler::new(rate, rng));
     }

@@ -68,10 +68,7 @@ pub struct FlowArrival {
 }
 
 /// A pull-based stream of flow arrivals with non-decreasing timestamps.
-///
-/// `Send` is a supertrait so boxed sources can migrate with their shard
-/// when the simulation runs sharded across worker threads.
-pub trait FlowSource: Send {
+pub trait FlowSource {
     /// The next arrival, or `None` when the source is exhausted.
     fn next_arrival(&mut self) -> Option<FlowArrival>;
 }
