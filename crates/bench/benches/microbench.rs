@@ -9,7 +9,7 @@
 use scotch::scenario::Scenario;
 use scotch_net::{FlowId, FlowKey, IpAddr, Packet, PortId};
 use scotch_openflow::{
-    Action, Bucket, FlowEntry, GroupEntry, Match, Pipeline, SelectionPolicy, TableId,
+    Action, Bucket, FlowRule, GroupEntry, Match, Pipeline, SelectionPolicy, TableId,
 };
 use scotch_sim::rate::FifoServer;
 use scotch_sim::{EventQueue, SimDuration, SimRng, SimTime};
@@ -60,7 +60,7 @@ fn bench_flow_table(filter: &Option<String>) {
                 .table_mut(TableId(0))
                 .insert(
                     SimTime::ZERO,
-                    FlowEntry::apply(
+                    FlowRule::apply(
                         Match::src_dst(key(i).src, key(i).dst),
                         100,
                         &[Action::Output(PortId(1))],
@@ -145,8 +145,8 @@ fn bench_rng(filter: &Option<String>) {
 
 fn bench_wire_codec(filter: &Option<String>) {
     use scotch_openflow::wire::{decode_message, encode_message, OfMessage};
-    use scotch_openflow::{ControllerToSwitch, FlowEntry, FlowModCommand};
-    let entry = FlowEntry::apply(Match::exact(key(7)), 100, &[Action::Output(PortId(3))]);
+    use scotch_openflow::{ControllerToSwitch, FlowModCommand, FlowRule};
+    let entry = FlowRule::apply(Match::exact(key(7)), 100, &[Action::Output(PortId(3))]);
     let msg = OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
         table: TableId(0),
         command: FlowModCommand::Add(entry),

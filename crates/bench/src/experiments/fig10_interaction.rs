@@ -9,7 +9,7 @@
 use crate::{Scale, Table};
 use scotch_net::PortId;
 use scotch_net::{FlowId, FlowKey, IpAddr, NodeId, Packet};
-use scotch_openflow::{Action, ControllerToSwitch, FlowEntry, FlowModCommand, Match, TableId};
+use scotch_openflow::{Action, ControllerToSwitch, FlowModCommand, FlowRule, Match, TableId};
 use scotch_runner::{Job, SweepRunner};
 use scotch_sim::{SimRng, SimTime};
 use scotch_switch::{DropReason, Output, PhysicalSwitch, SwitchProfile};
@@ -28,7 +28,7 @@ fn loss_ratio(insert_rate: f64, data_pps: f64, secs: f64, seed: u64) -> f64 {
         SimTime::ZERO,
         ControllerToSwitch::FlowMod {
             table: TableId(0),
-            command: FlowModCommand::Add(FlowEntry::apply(
+            command: FlowModCommand::Add(FlowRule::apply(
                 Match::ANY,
                 1,
                 &[Action::Output(PortId(1))],
@@ -60,7 +60,7 @@ fn loss_ratio(insert_rate: f64, data_pps: f64, secs: f64, seed: u64) -> f64 {
                 now,
                 ControllerToSwitch::FlowMod {
                     table: TableId(1),
-                    command: FlowModCommand::Add(FlowEntry::apply(
+                    command: FlowModCommand::Add(FlowRule::apply(
                         Match::src_dst(IpAddr(0x0b00_0000 + rule_i), IpAddr::new(9, 9, 9, 9)),
                         2,
                         &[],

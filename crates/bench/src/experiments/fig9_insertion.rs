@@ -12,7 +12,7 @@
 use crate::{Scale, Table};
 use scotch_net::PortId;
 use scotch_net::{FlowKey, IpAddr, NodeId};
-use scotch_openflow::{Action, ControllerToSwitch, FlowEntry, FlowModCommand, Match, TableId};
+use scotch_openflow::{Action, ControllerToSwitch, FlowModCommand, FlowRule, Match, TableId};
 use scotch_sim::{SimRng, SimTime};
 use scotch_switch::{PhysicalSwitch, SwitchProfile};
 
@@ -58,7 +58,7 @@ pub fn run(scale: Scale, seed: u64) -> Table {
                 ControllerToSwitch::FlowMod {
                     table: TableId(0),
                     command: FlowModCommand::Add(
-                        FlowEntry::apply(
+                        FlowRule::apply(
                             Match::src_dst(key.src, key.dst),
                             1,
                             &[Action::Output(PortId(1))],

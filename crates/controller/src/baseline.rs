@@ -11,7 +11,7 @@ use crate::flowdb::{FlowInfoDatabase, FlowPath};
 use crate::monitor::PacketInMonitor;
 use crate::Command;
 use scotch_net::{NodeId, NodeKind, Packet, PortId, Topology};
-use scotch_openflow::{Action, ControllerToSwitch, FlowEntry, FlowModCommand, Match, TableId};
+use scotch_openflow::{Action, ControllerToSwitch, FlowModCommand, FlowRule, Match, TableId};
 use scotch_sim::{SimDuration, SimTime};
 
 /// Priority of per-flow physical-path rules. Must exceed Scotch's overlay
@@ -178,7 +178,7 @@ pub fn plan_flow_rules(
     idle_timeout: SimDuration,
 ) -> Vec<Command> {
     let mut commands = Vec::new();
-    let mut seen = std::collections::HashMap::new();
+    let mut seen = scotch_sim::FxHashMap::default();
     for (i, node) in path.iter().enumerate() {
         if !matches!(
             topo.kind(*node),
@@ -204,7 +204,7 @@ pub fn plan_flow_rules(
                 }
             }
         }
-        let entry = FlowEntry::apply(
+        let entry = FlowRule::apply(
             m,
             PHYSICAL_RULE_PRIORITY + occurrence,
             &[Action::Output(out_port)],

@@ -8,8 +8,8 @@
 //! links.
 
 use crate::link::{LinkId, LinkSpec, LinkState, TxResult};
-use scotch_sim::{SimDuration, SimRng, SimTime};
-use std::collections::{HashMap, VecDeque};
+use scotch_sim::{FxHashMap, SimDuration, SimRng, SimTime};
+use std::collections::VecDeque;
 
 /// Identifier of a node (switch, vSwitch, host, middlebox).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,7 +56,7 @@ pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<(Ends, LinkState)>,
     /// adjacency[from] = list of (neighbor, out_port, link)
-    adjacency: HashMap<NodeId, Vec<(NodeId, PortId, LinkId)>>,
+    adjacency: FxHashMap<NodeId, Vec<(NodeId, PortId, LinkId)>>,
     /// Fault-injection RNG; random link loss is active only when set.
     fault_rng: Option<SimRng>,
 }
@@ -304,7 +304,7 @@ impl Topology {
         if src == dst {
             return Some(vec![src]);
         }
-        let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut prev: FxHashMap<NodeId, NodeId> = FxHashMap::default();
         let mut queue = VecDeque::new();
         queue.push_back(src);
         prev.insert(src, src);

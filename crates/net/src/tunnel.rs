@@ -12,7 +12,7 @@
 //! topology rather than inside the per-switch OpenFlow tables.
 
 use crate::topology::{NodeId, Topology};
-use std::collections::HashMap;
+use scotch_sim::FxHashMap;
 
 /// Identifier of a (unidirectional) tunnel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,7 +51,7 @@ impl Tunnel {
 pub struct TunnelTable {
     tunnels: Vec<Tunnel>,
     /// (tunnel, current node) -> next hop, precomputed for O(1) forwarding.
-    hops: HashMap<(TunnelId, NodeId), NodeId>,
+    hops: FxHashMap<(TunnelId, NodeId), NodeId>,
 }
 
 impl TunnelTable {

@@ -294,7 +294,7 @@ mod tests {
         #[test]
         fn prop_rr_covers_live(n in 1usize..8) {
             let mut g = GroupEntry::select(SelectionPolicy::RoundRobin, buckets(n));
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = scotch_sim::FxHashSet::default();
             for _ in 0..n {
                 let acts = g.select_bucket(&key(0)).unwrap();
                 seen.insert(acts[0]);

@@ -7,7 +7,7 @@
 
 use crate::group::GroupEntry;
 use crate::ofmatch::Match;
-use crate::table::{FlowEntry, TableId};
+use crate::table::{FlowRule, TableId};
 use scotch_net::{Packet, PortId, TunnelId};
 use scotch_sim::SimDuration;
 
@@ -109,8 +109,8 @@ pub enum OfError {
 /// FlowMod sub-commands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowModCommand {
-    /// Install (or replace the identical-match-and-priority) entry.
-    Add(FlowEntry),
+    /// Install a rule (or replace the identical-match-and-priority entry).
+    Add(FlowRule),
     /// Remove all entries carrying this cookie.
     DeleteByCookie(u64),
     /// Remove entries whose match equals this exactly (OFPFC_DELETE_STRICT).
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn flow_mod_commands_construct() {
-        let e = FlowEntry::apply(Match::ANY, 1, &[Action::Drop]);
+        let e = FlowRule::apply(Match::ANY, 1, &[Action::Drop]);
         let add = FlowModCommand::Add(e.clone());
         assert_eq!(add, FlowModCommand::Add(e));
         assert_ne!(

@@ -31,7 +31,7 @@ use crate::messages::{
     SwitchToController,
 };
 use crate::ofmatch::{Action, ActionList, Match};
-use crate::table::{FlowEntry, TableId};
+use crate::table::{FlowRule, TableId};
 use scotch_net::{
     FlowId, FlowKey, IpAddr, Label, LabelStack, Packet, PacketKind, PortId, Protocol, TunnelId,
 };
@@ -250,11 +250,11 @@ fn encode_match(w: &mut Writer, m: &Match) -> Result<(), WireError> {
     let len_at = w.buf.len();
     w.u16(0); // patched below
 
-    if let Some(p) = m.in_port {
+    if let Some(p) = m.in_port() {
         oxm_header(w, OXM_IN_PORT, 4);
         w.u32(p.0 as u32);
     }
-    match m.top_label {
+    match m.top_label() {
         None => {}
         Some(None) => {
             oxm_header(w, OXM_ETH_TYPE, 2);
@@ -267,27 +267,27 @@ fn encode_match(w: &mut Writer, m: &Match) -> Result<(), WireError> {
             w.u32(label_to_mpls(l)?);
         }
     }
-    if let Some(ip) = m.src {
+    if let Some(ip) = m.src() {
         oxm_header(w, OXM_IPV4_SRC, 4);
         w.u32(ip.0);
     }
-    if let Some(ip) = m.dst {
+    if let Some(ip) = m.dst() {
         oxm_header(w, OXM_IPV4_DST, 4);
         w.u32(ip.0);
     }
-    if let Some(proto) = m.proto {
+    if let Some(proto) = m.proto() {
         oxm_header(w, OXM_IP_PROTO, 1);
         w.u8(proto.number());
     }
-    let (sp_field, dp_field) = match m.proto {
+    let (sp_field, dp_field) = match m.proto() {
         Some(Protocol::Udp) => (OXM_UDP_SRC, OXM_UDP_DST),
         _ => (OXM_TCP_SRC, OXM_TCP_DST),
     };
-    if let Some(p) = m.sport {
+    if let Some(p) = m.sport() {
         oxm_header(w, sp_field, 2);
         w.u16(p);
     }
-    if let Some(p) = m.dport {
+    if let Some(p) = m.dport() {
         oxm_header(w, dp_field, 2);
         w.u16(p);
     }
@@ -318,6 +318,7 @@ fn decode_match(r: &mut Reader) -> Result<DecodedMatch, WireError> {
     }
     let mut body = Reader::new(r.take(mlen - 4)?);
     let mut m = Match::ANY;
+    let mut proto = None;
     let mut tunnel_id = None;
     let mut metadata = None;
     let mut eth_type: Option<u16> = None;
@@ -335,13 +336,13 @@ fn decode_match(r: &mut Reader) -> Result<DecodedMatch, WireError> {
             continue;
         }
         match field {
-            OXM_IN_PORT => m.in_port = Some(PortId(body.u32()? as u16)),
+            OXM_IN_PORT => m = m.with_in_port(PortId(body.u32()? as u16)),
             OXM_ETH_TYPE => eth_type = Some(body.u16()?),
             OXM_MPLS_LABEL => mpls = Some(body.u32()?),
-            OXM_IPV4_SRC => m.src = Some(IpAddr(body.u32()?)),
-            OXM_IPV4_DST => m.dst = Some(IpAddr(body.u32()?)),
+            OXM_IPV4_SRC => m = m.with_src(IpAddr(body.u32()?)),
+            OXM_IPV4_DST => m = m.with_dst(IpAddr(body.u32()?)),
             OXM_IP_PROTO => {
-                m.proto = match body.u8()? {
+                proto = match body.u8()? {
                     6 => Some(Protocol::Tcp),
                     17 => {
                         udp = true;
@@ -366,16 +367,23 @@ fn decode_match(r: &mut Reader) -> Result<DecodedMatch, WireError> {
             _ => body.skip(len)?,
         }
     }
-    m.sport = sport;
-    m.dport = dport;
-    if udp && m.proto.is_none() {
-        m.proto = Some(Protocol::Udp);
+    if udp && proto.is_none() {
+        proto = Some(Protocol::Udp);
     }
-    m.top_label = match (eth_type, mpls) {
-        (Some(ETH_TYPE_MPLS), Some(v)) => Some(Some(mpls_to_label(v))),
-        (Some(ETH_TYPE_IPV4), _) => Some(None),
-        _ => None,
-    };
+    if let Some(p) = proto {
+        m = m.with_proto(p);
+    }
+    if let Some(p) = sport {
+        m = m.with_sport(p);
+    }
+    if let Some(p) = dport {
+        m = m.with_dport(p);
+    }
+    match (eth_type, mpls) {
+        (Some(ETH_TYPE_MPLS), Some(v)) => m = m.with_top_label(Some(mpls_to_label(v))),
+        (Some(ETH_TYPE_IPV4), _) => m = m.with_top_label(None),
+        _ => {}
+    }
     // Consume the 8-byte padding of the whole match.
     let pad = (8 - (mlen % 8)) % 8;
     r.skip(pad)?;
@@ -494,9 +502,9 @@ fn decode_action_list(r: &mut Reader, total: usize) -> Result<Vec<Action>, WireE
     Ok(actions)
 }
 
-/// Encode an entry's instruction set: APPLY_ACTIONS (omitted when the
+/// Encode a rule's instruction set: APPLY_ACTIONS (omitted when the
 /// list is empty) then GOTO_TABLE (when set).
-fn encode_instructions(w: &mut Writer, entry: &FlowEntry) -> Result<(), WireError> {
+fn encode_instructions(w: &mut Writer, entry: &FlowRule) -> Result<(), WireError> {
     if !entry.apply.is_empty() {
         w.u16(4); // OFPIT_APPLY_ACTIONS
         let len_at = w.buf.len();
@@ -784,7 +792,7 @@ pub fn encode_message(msg: &OfMessage, xid: u32) -> Result<Vec<u8>, WireError> {
             }
             ControllerToSwitch::FlowMod { table, command } => {
                 let at = header(&mut w, OFPT_FLOW_MOD, xid);
-                let (cmd, cookie, cookie_mask, entry): (u8, u64, u64, Option<&FlowEntry>) =
+                let (cmd, cookie, cookie_mask, entry): (u8, u64, u64, Option<&FlowRule>) =
                     match command {
                         FlowModCommand::Add(e) => (0, e.cookie, 0, Some(e)),
                         FlowModCommand::DeleteByCookie(c) => (3, *c, u64::MAX, None),
@@ -797,10 +805,10 @@ pub fn encode_message(msg: &OfMessage, xid: u32) -> Result<Vec<u8>, WireError> {
                 w.u8(cmd);
                 let (idle, hard, prio) = match entry {
                     Some(e) => (
-                        e.idle_timeout
+                        e.idle_timeout()
                             .map(|d| d.as_nanos() / 1_000_000_000)
                             .unwrap_or(0) as u16,
-                        e.hard_timeout
+                        e.hard_timeout()
                             .map(|d| d.as_nanos() / 1_000_000_000)
                             .unwrap_or(0) as u16,
                         e.priority,
@@ -1056,14 +1064,13 @@ pub fn decode_message(buf: &[u8]) -> Result<(OfMessage, u32), WireError> {
             match cmd {
                 0 => {
                     let (apply, goto) = decode_instructions(&mut r)?;
-                    let mut e = FlowEntry::apply(dm.matcher, priority, &apply);
+                    let mut e = FlowRule::apply(dm.matcher, priority, &apply).with_cookie(cookie);
                     e.goto = goto;
-                    e.cookie = cookie;
                     if idle > 0 {
-                        e.idle_timeout = Some(SimDuration::from_secs(idle as u64));
+                        e = e.with_idle_timeout(SimDuration::from_secs(idle as u64));
                     }
                     if hard > 0 {
-                        e.hard_timeout = Some(SimDuration::from_secs(hard as u64));
+                        e = e.with_hard_timeout(SimDuration::from_secs(hard as u64));
                     }
                     OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
                         table,
@@ -1141,7 +1148,7 @@ pub fn decode_message(buf: &[u8]) -> Result<(OfMessage, u32), WireError> {
             let packet = decode_packet(data, total_len.max(data.len() as u32))?;
             OfMessage::FromSwitch(SwitchToController::PacketIn {
                 packet,
-                in_port: dm.matcher.in_port.unwrap_or(PortId(0)),
+                in_port: dm.matcher.in_port().unwrap_or(PortId(0)),
                 reason,
                 via_tunnel: dm.tunnel_id,
                 ingress_label: dm.metadata.map(|m| m as u16),
@@ -1287,7 +1294,7 @@ mod tests {
 
     #[test]
     fn flow_mod_add_roundtrip() {
-        let entry = FlowEntry::apply(
+        let entry = FlowRule::apply(
             Match::exact(key()).with_in_port(PortId(3)),
             100,
             &[
@@ -1311,7 +1318,7 @@ mod tests {
                 assert_eq!(e.matcher, entry.matcher);
                 assert_eq!(e.priority, 100);
                 assert_eq!(e.cookie, 0xABCD);
-                assert_eq!(e.idle_timeout, Some(SimDuration::from_secs(10)));
+                assert_eq!(e.idle_timeout(), Some(SimDuration::from_secs(10)));
                 assert_eq!(e.apply, entry.apply);
                 assert_eq!(e.goto, Some(TableId(1)));
             }
@@ -1346,7 +1353,7 @@ mod tests {
 
     #[test]
     fn drop_rule_roundtrips_as_empty_action_list() {
-        let entry = FlowEntry::apply(Match::ANY, 1, &[Action::Drop]);
+        let entry = FlowRule::apply(Match::ANY, 1, &[Action::Drop]);
         match roundtrip(OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
             table: TableId(0),
             command: FlowModCommand::Add(entry),
@@ -1364,7 +1371,7 @@ mod tests {
 
     #[test]
     fn goto_only_rule_roundtrips_without_actions() {
-        let entry = FlowEntry::apply(Match::ANY, 1, &[]).with_goto(TableId(1));
+        let entry = FlowRule::apply(Match::ANY, 1, &[]).with_goto(TableId(1));
         match roundtrip(OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
             table: TableId(0),
             command: FlowModCommand::Add(entry),
@@ -1686,19 +1693,32 @@ mod tests {
                 2 => Some(Some(Label::Tunnel(TunnelId(tunnel)))),
                 _ => Some(Some(Label::IngressPort(tunnel as u16))),
             };
-            let m = Match {
-                in_port: in_port.map(PortId),
-                src: src.map(IpAddr),
-                dst: dst.map(IpAddr),
-                proto,
-                sport,
-                dport,
-                top_label,
-            };
+            let mut m = Match::ANY;
+            if let Some(p) = in_port {
+                m = m.with_in_port(PortId(p));
+            }
+            if let Some(ip) = src {
+                m = m.with_src(IpAddr(ip));
+            }
+            if let Some(ip) = dst {
+                m = m.with_dst(IpAddr(ip));
+            }
+            if let Some(p) = proto {
+                m = m.with_proto(p);
+            }
+            if let Some(p) = sport {
+                m = m.with_sport(p);
+            }
+            if let Some(p) = dport {
+                m = m.with_dport(p);
+            }
+            if let Some(l) = top_label {
+                m = m.with_top_label(l);
+            }
             // ICMP matches with ports are not meaningful on the wire (the
             // codec encodes ports as TCP fields); skip that corner.
             prop_assume!(!(proto == Some(Protocol::Icmp) && (sport.is_some() || dport.is_some())));
-            let entry = FlowEntry::apply(m, 5, &[Action::Output(PortId(1))]);
+            let entry = FlowRule::apply(m, 5, &[Action::Output(PortId(1))]);
             let bytes = encode_message(
                 &OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
                     table: TableId(0),
@@ -1711,12 +1731,9 @@ mod tests {
                 command: FlowModCommand::Add(e),
                 ..
             }) = decoded else { panic!() };
-            // Port fields imply TCP on the wire when proto is unset.
-            let mut want = m;
-            if want.proto.is_none() && (want.sport.is_some() || want.dport.is_some()) {
-                want.proto = None; // ports decode, proto stays None
-            }
-            prop_assert_eq!(e.matcher, want);
+            // Ports of an unset protocol go on the wire as TCP fields and
+            // decode with the protocol still unset.
+            prop_assert_eq!(e.matcher, m);
         }
 
         /// Arbitrary packets survive the bytes roundtrip (protocol-visible
@@ -1875,7 +1892,7 @@ mod frame_tests {
 
     #[test]
     fn large_flow_mod_survives_fragmented_delivery() {
-        let entry = FlowEntry::apply(
+        let entry = FlowRule::apply(
             Match::exact(FlowKey::tcp(
                 IpAddr::new(1, 2, 3, 4),
                 5,

@@ -31,7 +31,7 @@ use scotch_controller::{
 use scotch_net::{FlowKey, IpAddr, NodeId, Packet, PortId, Topology, TunnelId};
 use scotch_openflow::messages::{GroupModCommand, OfError};
 use scotch_openflow::{
-    Action, ActionList, Bucket, ControllerToSwitch, FlowEntry, FlowModCommand, GroupEntry, GroupId,
+    Action, ActionList, Bucket, ControllerToSwitch, FlowModCommand, FlowRule, GroupEntry, GroupId,
     Match, SwitchToController, TableId,
 };
 use scotch_sim::journey::{
@@ -328,7 +328,7 @@ impl ScotchApp {
                 .get(&(chain.agg_in, chain.upstream)),
             topo.port_towards(chain.upstream, chain.middlebox),
         ) {
-            let g1 = FlowEntry::apply(
+            let g1 = FlowRule::apply(
                 Match::ANY.with_top_label(Some(scotch_net::Label::Tunnel(tin))),
                 GREEN_RULE_PRIORITY + 10,
                 &[Action::PopLabel, Action::Output(mb_in_port)],
@@ -358,7 +358,7 @@ impl ScotchApp {
                 if let Some(out_port) =
                     topo.port_towards(chain.downstream, tunnel.next_hop(chain.downstream).unwrap())
                 {
-                    let g2 = FlowEntry::apply(
+                    let g2 = FlowRule::apply(
                         Match::on_port(mb_return_port).with_top_label(None),
                         GREEN_RULE_PRIORITY,
                         &[
@@ -932,7 +932,7 @@ impl ScotchApp {
                     ActionList::from_slice(&[Action::Output(port)])
                 }
             };
-            let entry = FlowEntry::apply(matcher, PHYSICAL_RULE_PRIORITY, &actions)
+            let entry = FlowRule::apply(matcher, PHYSICAL_RULE_PRIORITY, &actions)
                 .with_cookie(cookie)
                 .with_idle_timeout(self.config.rule_idle_timeout);
             out.push(Command::new(
@@ -1153,7 +1153,7 @@ impl ScotchApp {
         // before tables or match higher-priority label rules).
         let mut labelled = Vec::new();
         for port in topo.ports(switch) {
-            let entry = FlowEntry::apply(
+            let entry = FlowRule::apply(
                 Match::on_port(port).with_top_label(None),
                 PORT_RULE_PRIORITY,
                 &[Action::push_ingress(port)],
@@ -1174,11 +1174,7 @@ impl ScotchApp {
             switch,
             ControllerToSwitch::FlowMod {
                 table: TableId(1),
-                command: FlowModCommand::Add(FlowEntry::apply(
-                    Match::ANY,
-                    0,
-                    &[Action::Group(gid)],
-                )),
+                command: FlowModCommand::Add(FlowRule::apply(Match::ANY, 0, &[Action::Group(gid)])),
             },
         ));
 
@@ -1234,7 +1230,7 @@ impl ScotchApp {
 
         let mut deferred = Vec::new();
         for (key, ingress) in pins {
-            let entry = FlowEntry::apply(
+            let entry = FlowRule::apply(
                 self.flow_matcher(&key),
                 PIN_RULE_PRIORITY,
                 &[Action::push_ingress(ingress)],

@@ -16,8 +16,7 @@
 
 use crate::telemetry::FlowEstimate;
 use scotch_net::FlowKey;
-use scotch_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use scotch_sim::{FxHashMap, SimDuration, SimTime};
 
 /// Flags elephants from the monitor's [`FlowEstimate`] stream.
 #[derive(Debug, Clone)]
@@ -25,7 +24,7 @@ pub struct ElephantDetector {
     /// Estimated packets/second above which a flow is an elephant.
     pub threshold_pps: f64,
     /// Flows already flagged (do not flag twice).
-    flagged: HashMap<FlowKey, SimTime>,
+    flagged: FxHashMap<FlowKey, SimTime>,
 }
 
 impl ElephantDetector {
@@ -34,7 +33,7 @@ impl ElephantDetector {
         assert!(threshold_pps > 0.0);
         ElephantDetector {
             threshold_pps,
-            flagged: HashMap::new(),
+            flagged: FxHashMap::default(),
         }
     }
 

@@ -12,7 +12,7 @@
 //! Tunnels are configured offline (§5.6) and never consume OFA capacity.
 
 use scotch_net::{NodeId, Topology, TunnelId, TunnelTable};
-use std::collections::HashMap;
+use scotch_sim::FxHashMap;
 
 /// The overlay's static wiring plus per-vSwitch liveness bookkeeping.
 #[derive(Debug, Clone, Default)]
@@ -23,26 +23,26 @@ pub struct OverlayManager {
     /// Mesh vSwitches, in bucket order.
     pub mesh: Vec<NodeId>,
     /// Load-distribution tunnels per physical switch, parallel to `mesh`.
-    pub lb_tunnels: HashMap<NodeId, Vec<TunnelId>>,
+    pub lb_tunnels: FxHashMap<NodeId, Vec<TunnelId>>,
     /// tunnel → originating physical switch (recovers the switch id from
     /// Packet-In metadata, §5.2).
-    pub tunnel_origin: HashMap<TunnelId, NodeId>,
+    pub tunnel_origin: FxHashMap<TunnelId, NodeId>,
     /// Full-mesh tunnels between mesh vSwitches.
-    pub mesh_tunnels: HashMap<(NodeId, NodeId), TunnelId>,
+    pub mesh_tunnels: FxHashMap<(NodeId, NodeId), TunnelId>,
     /// Delivery tunnels mesh vSwitch → host vSwitch.
-    pub delivery_tunnels: HashMap<(NodeId, NodeId), TunnelId>,
+    pub delivery_tunnels: FxHashMap<(NodeId, NodeId), TunnelId>,
     /// Which host vSwitch delivers to each host.
-    pub host_vswitch: HashMap<NodeId, NodeId>,
+    pub host_vswitch: FxHashMap<NodeId, NodeId>,
     /// Which mesh vSwitch is "local" to each host (the paper's
     /// location-based partition; with one rack it is a deterministic
     /// assignment).
-    pub local_mesh: HashMap<NodeId, NodeId>,
+    pub local_mesh: FxHashMap<NodeId, NodeId>,
     /// Aggregation tunnels for policy routing (§5.4): (mesh vSwitch → the
     /// middlebox's upstream physical switch).
-    pub policy_in_tunnels: HashMap<(NodeId, NodeId), TunnelId>,
+    pub policy_in_tunnels: FxHashMap<(NodeId, NodeId), TunnelId>,
     /// (physical switch → mesh vSwitch) return tunnels from the middlebox's
     /// downstream switch.
-    pub policy_out_tunnels: HashMap<(NodeId, NodeId), TunnelId>,
+    pub policy_out_tunnels: FxHashMap<(NodeId, NodeId), TunnelId>,
     /// Liveness per mesh vSwitch (index-aligned with `mesh`).
     pub alive: Vec<bool>,
     /// Standby vSwitches available to replace failures (§5.6).

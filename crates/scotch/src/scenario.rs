@@ -420,14 +420,22 @@ impl Scenario {
         self
     }
 
+    /// How long a flowdb entry lives: the rule idle timeout (entries live
+    /// until their rules idle out), clamped by the run horizon when known
+    /// so short smoke runs don't reserve a table several times larger than
+    /// they can ever fill (an oversized map costs cache misses on every
+    /// lookup).
+    fn flow_lifetime_secs(&self, horizon_secs: f64) -> f64 {
+        self.config
+            .rule_idle_timeout
+            .as_secs_f64()
+            .min(horizon_secs)
+    }
+
     /// Expected concurrent flowdb population: total arrival rate times the
-    /// entry lifetime — the rule idle timeout (entries live until their
-    /// rules idle out), clamped by the run horizon when known so short
-    /// smoke runs don't reserve a table several times larger than they can
-    /// ever fill (an oversized map costs cache misses on every lookup).
-    /// Used to pre-size the controller's flow state (capped — the hint is
-    /// an optimization, not a commitment).
-    fn expected_flow_count(&self, horizon_secs: f64) -> usize {
+    /// entry lifetime. Used to pre-size the controller's flow state
+    /// (capped — the hint is an optimization, not a commitment).
+    fn expected_flow_count(&self, lifetime_secs: f64) -> usize {
         let mut rate = 0.0;
         if let Some(a) = &self.attack {
             rate += a.rate;
@@ -438,12 +446,7 @@ impl Scenario {
         if let Some(r) = self.trace_rate {
             rate += r;
         }
-        let lifetime = self
-            .config
-            .rule_idle_timeout
-            .as_secs_f64()
-            .min(horizon_secs);
-        let expected = rate * lifetime;
+        let expected = rate * lifetime_secs;
         let elephants = self.elephants.map(|e| e.count).unwrap_or(0);
         ((expected as usize) + elephants).min(1 << 22)
     }
@@ -487,7 +490,9 @@ impl Scenario {
         let tracing = self.tracing.clone();
         let journeys = self.journeys.clone();
         let chaos_plan = self.chaos_plan.clone();
-        let flow_hint = self.expected_flow_count(horizon_secs);
+        let lifetime = self.flow_lifetime_secs(horizon_secs);
+        let mut flow_hint = self.expected_flow_count(lifetime);
+        let overlay = self.mode == ControllerMode::Scotch;
         let mut sim = match self.kind {
             TopoKind::SingleSwitch => self.build_single_switch(seed),
             TopoKind::Datacenter => self.build_datacenter(seed),
@@ -511,6 +516,12 @@ impl Scenario {
         if let Some(plan) = chaos_plan {
             let mut rng = SimRng::new(seed);
             sim.apply_fault_plan(&plan, rng.fork(0xC4A05));
+        }
+        if !overlay {
+            // Without the overlay a flow reaches the flowdb only through a
+            // Packet-In its switch agent admitted, so the agents' admission
+            // rate bounds the population however fast flows are offered.
+            flow_hint = flow_hint.min(sim.packet_in_admission_bound(lifetime));
         }
         sim.flow_capacity_hint = flow_hint;
         sim

@@ -1484,6 +1484,15 @@ impl Simulation {
         }
     }
 
+    /// Most Packet-Ins the switch agents can admit over `secs` of simulated
+    /// time: the sum of their sustained Packet-In capacities (§3.2).
+    pub(crate) fn packet_in_admission_bound(&self, secs: f64) -> usize {
+        let physical = self.physical.values().map(|s| s.profile());
+        let virt = self.vswitches.values().map(|v| v.profile());
+        let rate: f64 = physical.chain(virt).map(|p| p.packet_in_capacity).sum();
+        (rate * secs).ceil() as usize
+    }
+
     /// Validate the scenario and seed the initial events.
     ///
     /// # Panics
@@ -2126,5 +2135,17 @@ mod tests {
         // `EmitPacket` and `FlowStart` carry a whole `FlowSpec` and must not
         // outgrow `Arrive`.
         assert!(std::mem::size_of::<Event>() <= 72);
+    }
+
+    #[test]
+    fn flow_rule_types_stay_compact() {
+        use scotch_openflow::{FlowEntry, FlowRule, Match};
+        use std::mem::size_of;
+        // Every installed rule is one table row, and every FlowMod copies
+        // its rule through the command buffer, a message box and the row.
+        assert!(size_of::<Match>() <= 24);
+        assert!(size_of::<FlowRule>() <= 88);
+        assert!(size_of::<FlowEntry>() <= 120);
+        assert!(size_of::<ControllerToSwitch>() <= 96);
     }
 }

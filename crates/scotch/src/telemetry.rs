@@ -20,8 +20,7 @@
 
 use scotch_net::{FlowKey, NodeId};
 use scotch_openflow::messages::FlowStat;
-use scotch_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use scotch_sim::{FxHashMap, SimDuration, SimTime};
 
 /// One per-flow observation derived from a stats record: the monitor's
 /// estimate of the flow's recent packet rate, plus the liveness signal.
@@ -47,7 +46,7 @@ pub struct FlowEstimate {
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryCache {
     /// Last sighting per `(vSwitch, cookie)`: time and scaled estimate.
-    entries: HashMap<(NodeId, u64), (SimTime, f64)>,
+    entries: FxHashMap<(NodeId, u64), (SimTime, f64)>,
     /// When the last full expiry sweep ran (sweeps are throttled to once
     /// per TTL — see [`TelemetryCache::expire`]).
     last_sweep: SimTime,

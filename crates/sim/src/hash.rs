@@ -10,13 +10,18 @@
 //! state. Inputs are simulation-internal identifiers, not attacker-chosen
 //! keys, so flood resistance is not needed.
 
+// The workspace's `clippy.toml` disallows the std maps so that SipHash
+// stays off the hot path; these aliases are the one deliberate use.
+#[allow(clippy::disallowed_types)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` keyed with [`FxHasher`] — deterministic across processes.
+#[allow(clippy::disallowed_types)]
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// A `HashSet` keyed with [`FxHasher`] — deterministic across processes.
+#[allow(clippy::disallowed_types)]
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;

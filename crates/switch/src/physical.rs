@@ -309,8 +309,8 @@ impl PhysicalSwitch {
                     for e in self.pipeline.table(tid).iter() {
                         stats.push(FlowStat {
                             table: tid,
-                            matcher: e.matcher,
-                            cookie: e.cookie,
+                            matcher: e.rule.matcher,
+                            cookie: e.rule.cookie,
                             packet_count: e.packet_count,
                             byte_count: e.byte_count,
                             duration: now.duration_since(e.installed_at),
@@ -375,8 +375,8 @@ impl PhysicalSwitch {
                 at: now + SimDuration::from_millis(1),
                 msg: SwitchToController::FlowRemoved {
                     table,
-                    matcher: e.matcher,
-                    cookie: e.cookie,
+                    matcher: e.rule.matcher,
+                    cookie: e.rule.cookie,
                     packet_count: e.packet_count,
                     byte_count: e.byte_count,
                 },
@@ -389,7 +389,7 @@ impl PhysicalSwitch {
 mod tests {
     use super::*;
     use scotch_net::{FlowId, FlowKey, IpAddr};
-    use scotch_openflow::{FlowEntry, Match};
+    use scotch_openflow::{FlowRule, Match};
 
     fn sw() -> PhysicalSwitch {
         PhysicalSwitch::new(
@@ -414,7 +414,7 @@ mod tests {
         out
     }
 
-    fn add_rule(sw: &mut PhysicalSwitch, entry: FlowEntry) {
+    fn add_rule(sw: &mut PhysicalSwitch, entry: FlowRule) {
         let outs = ctrl(
             sw,
             SimTime::ZERO,
@@ -445,7 +445,7 @@ mod tests {
         let mut s = sw();
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::exact(pkt(1).key), 10, &[Action::Output(PortId(2))]),
+            FlowRule::apply(Match::exact(pkt(1).key), 10, &[Action::Output(PortId(2))]),
         );
         let outs = s.handle_packet(SimTime::from_millis(10), PortId(0), pkt(1));
         match &outs[0] {
@@ -487,11 +487,7 @@ mod tests {
                 SimTime::ZERO,
                 ControllerToSwitch::FlowMod {
                     table: TableId(0),
-                    command: FlowModCommand::Add(FlowEntry::apply(
-                        Match::exact(pkt(i).key),
-                        1,
-                        &[],
-                    )),
+                    command: FlowModCommand::Add(FlowRule::apply(Match::exact(pkt(i).key), 1, &[])),
                 },
             );
             if let Some(Output::ToController {
@@ -519,11 +515,7 @@ mod tests {
                 SimTime::from_secs(i as u64),
                 ControllerToSwitch::FlowMod {
                     table: TableId(0),
-                    command: FlowModCommand::Add(FlowEntry::apply(
-                        Match::exact(pkt(i).key),
-                        1,
-                        &[],
-                    )),
+                    command: FlowModCommand::Add(FlowRule::apply(Match::exact(pkt(i).key), 1, &[])),
                 },
             );
             if let Some(Output::ToController {
@@ -560,9 +552,9 @@ mod tests {
         );
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::ANY, 1, &[Action::Group(GroupId(1))]),
+            FlowRule::apply(Match::ANY, 1, &[Action::Group(GroupId(1))]),
         );
-        let mut ports = std::collections::HashSet::new();
+        let mut ports = scotch_sim::FxHashSet::default();
         for i in 0..64u16 {
             for o in s.handle_packet(SimTime::from_millis(i as u64 + 10), PortId(0), pkt(i)) {
                 if let Output::Forward { out_port, .. } = o {
@@ -598,7 +590,7 @@ mod tests {
         let mut s = sw();
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::exact(pkt(1).key), 5, &[Action::Output(PortId(1))])
+            FlowRule::apply(Match::exact(pkt(1).key), 5, &[Action::Output(PortId(1))])
                 .with_cookie(42),
         );
         s.handle_packet(SimTime::from_millis(5), PortId(0), pkt(1).with_size(500));
@@ -655,7 +647,7 @@ mod tests {
         let mut s = sw();
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::exact(pkt(1).key), 5, &[])
+            FlowRule::apply(Match::exact(pkt(1).key), 5, &[])
                 .with_hard_timeout(SimDuration::from_secs(10))
                 .with_cookie(7),
         );
@@ -676,7 +668,7 @@ mod tests {
         // Pre-install a forwarding rule so data packets hit the fast path.
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::ANY, 1, &[Action::Output(PortId(1))]),
+            FlowRule::apply(Match::ANY, 1, &[Action::Output(PortId(1))]),
         );
         // Warm up: 1000 pps data, no insertion load -> no loss.
         let mut lost_before = 0;
@@ -707,7 +699,7 @@ mod tests {
                 now,
                 ControllerToSwitch::FlowMod {
                     table: TableId(1),
-                    command: FlowModCommand::Add(FlowEntry::apply(
+                    command: FlowModCommand::Add(FlowRule::apply(
                         Match::exact(pkt((i % 60000) as u16).key),
                         2,
                         &[],

@@ -232,19 +232,17 @@ impl VSwitch {
         // table borrow ends before `execute_actions` needs `&mut self`.
         let mut actions = std::mem::take(&mut self.action_buf);
         actions.clear();
+        // Telemetry sampling: the sampler advances once per matched
+        // packet; a pick lands on the matched entry's sampled counters
+        // (one predicted branch when disabled).
         let sampler = &mut self.sampler;
-        let matched = match self.table.match_packet_mut(now, &packet, in_port) {
+        let pick = || sampler.as_mut().is_some_and(|s| s.tick());
+        let matched = match self
+            .table
+            .match_packet_sampling(now, &packet, in_port, pick)
+        {
             Some(entry) => {
-                // Telemetry sampling: the sampler advances once per
-                // matched packet; a pick lands on the matched entry's
-                // sampled counters (one predicted branch when disabled).
-                if let Some(s) = sampler.as_mut() {
-                    if s.tick() {
-                        entry.sampled_packets += 1;
-                        entry.sampled_bytes += packet.size as u64;
-                    }
-                }
-                actions.extend_from_slice(&entry.apply);
+                actions.extend_from_slice(&entry.rule.apply);
                 true
             }
             None => false,
@@ -409,8 +407,8 @@ impl VSwitch {
                         .iter()
                         .map(|e| FlowStat {
                             table: TableId(0),
-                            matcher: e.matcher,
-                            cookie: e.cookie,
+                            matcher: e.rule.matcher,
+                            cookie: e.rule.cookie,
                             packet_count: e.packet_count,
                             byte_count: e.byte_count,
                             duration: now.duration_since(e.installed_at),
@@ -430,20 +428,20 @@ impl VSwitch {
                         let scale = 1.0 / s.rate();
                         let acc = &mut self.stats;
                         self.table
-                            .iter()
-                            .filter(|e| e.cookie != 0 && (all || e.sampled_packets > 0))
-                            .map(|e| {
+                            .iter_sampled()
+                            .filter(|(e, s)| e.rule.cookie != 0 && (all || s.packets > 0))
+                            .map(|(e, s)| {
                                 acc.sampled_exported += 1;
-                                let est = e.sampled_packets as f64 * scale;
+                                let est = s.packets as f64 * scale;
                                 let truth = e.packet_count as f64;
                                 acc.est_error_ppm +=
                                     ((est - truth).abs() / truth.max(1.0) * 1e6) as u64;
                                 FlowStat {
                                     table: TableId(0),
-                                    matcher: e.matcher,
-                                    cookie: e.cookie,
-                                    packet_count: e.sampled_packets,
-                                    byte_count: e.sampled_bytes,
+                                    matcher: e.rule.matcher,
+                                    cookie: e.rule.cookie,
+                                    packet_count: s.packets,
+                                    byte_count: s.bytes,
                                     duration: now.duration_since(e.installed_at),
                                 }
                             })
@@ -475,8 +473,8 @@ impl VSwitch {
                 at: now + SimDuration::from_micros(500),
                 msg: SwitchToController::FlowRemoved {
                     table: TableId(0),
-                    matcher: e.matcher,
-                    cookie: e.cookie,
+                    matcher: e.rule.matcher,
+                    cookie: e.rule.cookie,
                     packet_count: e.packet_count,
                     byte_count: e.byte_count,
                 },
@@ -489,7 +487,7 @@ impl VSwitch {
 mod tests {
     use super::*;
     use scotch_net::{FlowId, FlowKey, IpAddr};
-    use scotch_openflow::{FlowEntry, Match};
+    use scotch_openflow::{FlowRule, Match};
 
     fn vs() -> VSwitch {
         VSwitch::new(NodeId(1), SimRng::new(3))
@@ -566,7 +564,7 @@ mod tests {
             SimTime::ZERO,
             ControllerToSwitch::FlowMod {
                 table: TableId(0),
-                command: FlowModCommand::Add(FlowEntry::apply(
+                command: FlowModCommand::Add(FlowRule::apply(
                     Match::exact(pkt(1).key),
                     10,
                     &[Action::push_tunnel(TunnelId(2)), Action::Output(PortId(1))],
@@ -644,7 +642,7 @@ mod tests {
             ControllerToSwitch::FlowMod {
                 table: TableId(0),
                 command: FlowModCommand::Add(
-                    FlowEntry::apply(Match::exact(pkt(1).key), 1, &[]).with_cookie(5),
+                    FlowRule::apply(Match::exact(pkt(1).key), 1, &[]).with_cookie(5),
                 ),
             },
         );
@@ -669,7 +667,7 @@ mod tests {
             ControllerToSwitch::FlowMod {
                 table: TableId(0),
                 command: FlowModCommand::Add(
-                    FlowEntry::apply(
+                    FlowRule::apply(
                         Match::exact(pkt(sport).key),
                         10,
                         &[Action::Output(PortId(1))],

@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn each_flow_has_fresh_five_tuple() {
         let mut c = client(500.0, 1);
-        let keys: std::collections::HashSet<_> = std::iter::from_fn(|| c.next_arrival())
+        let keys: scotch_sim::FxHashSet<_> = std::iter::from_fn(|| c.next_arrival())
             .map(|f| f.flow.key)
             .collect();
         assert_eq!(keys.len(), 500);

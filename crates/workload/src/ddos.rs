@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn every_packet_is_a_new_flow() {
         let mut a = attacker(500.0);
-        let mut keys = std::collections::HashSet::new();
+        let mut keys = scotch_sim::FxHashSet::default();
         let mut n = 0;
         while let Some(f) = a.next_arrival() {
             assert_eq!(f.flow.packets, 1);

@@ -139,7 +139,7 @@ mod tests {
         let mut alloc = FlowIdAllocator::new();
         let mut a = alloc.stream();
         let mut b = alloc.stream();
-        let ids: std::collections::HashSet<_> =
+        let ids: scotch_sim::FxHashSet<_> =
             (0..100).flat_map(|_| [a.next_id(), b.next_id()]).collect();
         assert_eq!(ids.len(), 200);
     }
