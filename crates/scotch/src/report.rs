@@ -1,7 +1,8 @@
 //! Simulation results.
 
 use crate::app::AppStats;
-use scotch_net::NodeId;
+use scotch_controller::flowdb::FlowPath;
+use scotch_net::{FlowId, FlowKey, NodeId};
 use scotch_sim::journey::{JourneyMark, JourneyView, LatencyDecomposition};
 use scotch_sim::metrics::Histogram;
 use scotch_sim::trace::TraceRecorder;
@@ -10,16 +11,15 @@ use scotch_switch::ofa::OfaStats;
 use scotch_switch::physical::SwitchStats;
 use scotch_switch::vswitch::VSwitchStats;
 
-/// Outcome of one flow: the simulation's per-flow ledger entry, moved
-/// into [`Report::flows`] without conversion (DESIGN.md §9, "Flow
-/// ledger"). Kept at 72 bytes — one is live per generated flow, and a
-/// spoofed flood generates one flow per packet.
-#[derive(Debug, Clone)]
+/// Outcome of one flow: a read-only view of one [`FlowLedger`] entry,
+/// assembled by value from the flow's record and, if it delivered
+/// anything, its delivery counters (DESIGN.md §9, "Flow ledger").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowOutcome {
     /// The flow's accounting id.
-    pub id: scotch_net::FlowId,
+    pub id: FlowId,
     /// The 5-tuple.
-    pub key: scotch_net::FlowKey,
+    pub key: FlowKey,
     /// Attack traffic?
     pub is_attack: bool,
     /// Packets the source emitted.
@@ -40,40 +40,10 @@ pub struct FlowOutcome {
     pub(crate) last_delivered: SimTime,
     /// Which network served the flow at first delivery (None when the
     /// flow was relayed by the controller before any rule existed).
-    pub served_by: Option<scotch_controller::flowdb::FlowPath>,
+    pub served_by: Option<FlowPath>,
 }
 
 impl FlowOutcome {
-    /// A fresh ledger entry for `spec`, first emitted at `at`.
-    pub(crate) fn started(spec: &scotch_workload::FlowSpec, at: SimTime) -> Self {
-        FlowOutcome {
-            id: spec.id,
-            key: spec.key,
-            is_attack: spec.is_attack,
-            emitted: 0,
-            intended: spec.packets,
-            delivered: 0,
-            delivered_bytes: 0,
-            started_at: at,
-            first_delivered: SimTime::ZERO,
-            last_delivered: SimTime::ZERO,
-            served_by: None,
-        }
-    }
-
-    /// Account one delivered packet of `bytes` at `now`; true when it is
-    /// the flow's first delivery.
-    pub(crate) fn record_delivery(&mut self, now: SimTime, bytes: u32) -> bool {
-        let first = self.delivered == 0;
-        if first {
-            self.first_delivered = now;
-        }
-        self.delivered += 1;
-        self.delivered_bytes += u64::from(bytes);
-        self.last_delivered = now;
-        first
-    }
-
     /// First delivery, if any.
     pub fn first_delivered(&self) -> Option<SimTime> {
         (self.delivered > 0).then_some(self.first_delivered)
@@ -110,6 +80,181 @@ impl FlowOutcome {
     pub fn setup_latency(&self) -> Option<SimDuration> {
         self.first_delivered()
             .map(|t| t.duration_since(self.started_at))
+    }
+}
+
+/// The flow ledger: one entry per generated flow, in generation order
+/// (DESIGN.md §9, "Flow ledger").
+///
+/// Under a spoofed flood every packet is a new flow and almost none of
+/// them deliver, so an entry is stored in two parts: a 48-byte
+/// [`FlowRecord`] for every flow, and a 32-byte [`FlowDelivery`] appended
+/// only when the flow delivers its first packet. Reading the ledger
+/// assembles each entry into a [`FlowOutcome`] by value.
+#[derive(Debug, Clone, Default)]
+pub struct FlowLedger {
+    records: Vec<FlowRecord>,
+    deliveries: Vec<FlowDelivery>,
+}
+
+/// What the ledger stores for every flow.
+#[derive(Debug, Clone)]
+struct FlowRecord {
+    id: FlowId,
+    key: FlowKey,
+    is_attack: bool,
+    intended: u32,
+    emitted: u32,
+    started_at: SimTime,
+    /// One more than the index of the flow's [`FlowDelivery`]; 0 while
+    /// the flow has delivered nothing.
+    delivery: u32,
+}
+
+/// What the ledger stores for a flow that delivered at least one packet.
+#[derive(Debug, Clone)]
+struct FlowDelivery {
+    delivered: u32,
+    delivered_bytes: u64,
+    first: SimTime,
+    last: SimTime,
+    served_by: Option<FlowPath>,
+}
+
+impl FlowDelivery {
+    /// The counters of a flow that delivered nothing.
+    const NONE: FlowDelivery = FlowDelivery {
+        delivered: 0,
+        delivered_bytes: 0,
+        first: SimTime::ZERO,
+        last: SimTime::ZERO,
+        served_by: None,
+    };
+}
+
+impl FlowLedger {
+    /// Flows generated.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// No flow was generated.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The outcome of the `i`-th generated flow.
+    pub fn get(&self, i: usize) -> Option<FlowOutcome> {
+        self.records.get(i).map(|r| self.outcome(r))
+    }
+
+    /// Every flow's outcome, in generation order.
+    pub fn iter(&self) -> FlowIter<'_> {
+        FlowIter {
+            ledger: self,
+            records: self.records.iter(),
+        }
+    }
+
+    fn outcome(&self, r: &FlowRecord) -> FlowOutcome {
+        let d = match r.delivery {
+            0 => &FlowDelivery::NONE,
+            slot => &self.deliveries[slot as usize - 1],
+        };
+        FlowOutcome {
+            id: r.id,
+            key: r.key,
+            is_attack: r.is_attack,
+            emitted: r.emitted,
+            intended: r.intended,
+            delivered: d.delivered,
+            delivered_bytes: d.delivered_bytes,
+            started_at: r.started_at,
+            first_delivered: d.first,
+            last_delivered: d.last,
+            served_by: d.served_by,
+        }
+    }
+
+    /// Open the entry of `spec`, first emitted at `at`; returns its index.
+    pub(crate) fn start(&mut self, spec: &scotch_workload::FlowSpec, at: SimTime) -> u32 {
+        let idx = u32::try_from(self.records.len()).expect("flow ledger index fits u32");
+        self.records.push(FlowRecord {
+            id: spec.id,
+            key: spec.key,
+            is_attack: spec.is_attack,
+            intended: spec.packets,
+            emitted: 0,
+            started_at: at,
+            delivery: 0,
+        });
+        idx
+    }
+
+    /// Account one packet emitted by flow `idx`.
+    pub(crate) fn record_emit(&mut self, idx: usize) {
+        self.records[idx].emitted += 1;
+    }
+
+    /// Account one packet of `bytes` that flow `idx` delivered at `now`.
+    /// On the flow's first delivery `served_by` is asked which network
+    /// served it. Returns whether the flow is attack traffic.
+    pub(crate) fn record_delivery(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        bytes: u32,
+        served_by: impl FnOnce() -> Option<FlowPath>,
+    ) -> bool {
+        let r = &mut self.records[idx];
+        match r.delivery {
+            0 => {
+                self.deliveries.push(FlowDelivery {
+                    delivered: 1,
+                    delivered_bytes: u64::from(bytes),
+                    first: now,
+                    last: now,
+                    served_by: served_by(),
+                });
+                r.delivery = u32::try_from(self.deliveries.len()).expect("delivery index fits u32");
+            }
+            slot => {
+                let d = &mut self.deliveries[slot as usize - 1];
+                d.delivered += 1;
+                d.delivered_bytes += u64::from(bytes);
+                d.last = now;
+            }
+        }
+        r.is_attack
+    }
+}
+
+/// Iterator over a [`FlowLedger`]'s outcomes, in generation order.
+pub struct FlowIter<'a> {
+    ledger: &'a FlowLedger,
+    records: std::slice::Iter<'a, FlowRecord>,
+}
+
+impl Iterator for FlowIter<'_> {
+    type Item = FlowOutcome;
+
+    fn next(&mut self) -> Option<FlowOutcome> {
+        self.records.next().map(|r| self.ledger.outcome(r))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
+}
+
+impl ExactSizeIterator for FlowIter<'_> {}
+
+impl<'a> IntoIterator for &'a FlowLedger {
+    type Item = FlowOutcome;
+    type IntoIter = FlowIter<'a>;
+
+    fn into_iter(self) -> FlowIter<'a> {
+        self.iter()
     }
 }
 
@@ -162,8 +307,10 @@ pub struct DropCounts {
 pub struct Report {
     /// Simulated duration.
     pub duration: SimDuration,
-    /// Per-flow outcomes, in generation order.
-    pub flows: Vec<FlowOutcome>,
+    /// Per-flow outcomes, in generation order: the simulation's flow
+    /// ledger, moved here without conversion. Iterating it (or calling
+    /// [`FlowLedger::get`]) yields each flow's [`FlowOutcome`] by value.
+    pub flows: FlowLedger,
     /// Controller-application counters.
     pub app: AppStats,
     /// Per-physical-switch counters.
@@ -213,7 +360,7 @@ pub struct Report {
 }
 
 impl Report {
-    fn flows_where(&self, attack: bool) -> impl Iterator<Item = &FlowOutcome> {
+    fn flows_where(&self, attack: bool) -> impl Iterator<Item = FlowOutcome> + '_ {
         self.flows.iter().filter(move |f| f.is_attack == attack)
     }
 
@@ -583,7 +730,7 @@ impl Report {
 /// level deep, without building a per-flow `Json` tree. IP addresses,
 /// protocol and path names contain nothing JSON escapes, so they are
 /// written between quotes as they format.
-fn write_flows(out: &mut String, flows: &[FlowOutcome]) {
+fn write_flows(out: &mut String, flows: impl IntoIterator<Item = FlowOutcome>) {
     use scotch_runner::json::write_num;
     use std::fmt::Write as _;
 
@@ -594,15 +741,13 @@ fn write_flows(out: &mut String, flows: &[FlowOutcome]) {
         }
     }
 
-    if flows.is_empty() {
-        out.push_str("[]");
-        return;
-    }
     out.push('[');
-    for (i, f) in flows.iter().enumerate() {
-        if i > 0 {
+    let mut empty = true;
+    for f in flows {
+        if !empty {
             out.push(',');
         }
+        empty = false;
         out.push_str("\n    {\n      \"id\": ");
         write_num(out, f.id.0 as f64);
         let _ = write!(
@@ -638,14 +783,14 @@ fn write_flows(out: &mut String, flows: &[FlowOutcome]) {
         }
         out.push_str("\n    }");
     }
-    out.push_str("\n  ]");
+    out.push_str(if empty { "]" } else { "\n  ]" });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scotch_net::{FlowId, FlowKey, IpAddr};
-    use scotch_sim::SimDuration;
+    use proptest::prelude::*;
+    use scotch_net::IpAddr;
     use scotch_workload::FlowSpec;
 
     fn spec(packets: u32) -> FlowSpec {
@@ -659,11 +804,45 @@ mod tests {
         }
     }
 
+    /// The oracle ledger entry: one flat 72-byte outcome per flow,
+    /// updated in place.
+    fn oracle_start(spec: &FlowSpec, at: SimTime) -> FlowOutcome {
+        FlowOutcome {
+            id: spec.id,
+            key: spec.key,
+            is_attack: spec.is_attack,
+            emitted: 0,
+            intended: spec.packets,
+            delivered: 0,
+            delivered_bytes: 0,
+            started_at: at,
+            first_delivered: SimTime::ZERO,
+            last_delivered: SimTime::ZERO,
+            served_by: None,
+        }
+    }
+
+    /// The oracle's delivery: `served_by` is recorded at the first one.
+    fn oracle_deliver(f: &mut FlowOutcome, now: SimTime, bytes: u32, served_by: Option<FlowPath>) {
+        if f.delivered == 0 {
+            f.first_delivered = now;
+            f.served_by = served_by;
+        }
+        f.delivered += 1;
+        f.delivered_bytes += u64::from(bytes);
+        f.last_delivered = now;
+    }
+
+    fn rendered(flows: impl IntoIterator<Item = FlowOutcome>) -> String {
+        let mut out = String::new();
+        write_flows(&mut out, flows);
+        out
+    }
+
     /// The direct `flows` writer renders exactly what a `Json` tree of the
     /// same flows renders one level deep (the form golden reports pin).
     #[test]
     fn write_flows_matches_the_json_tree_rendering() {
-        use scotch_controller::flowdb::FlowPath;
         use scotch_runner::Json;
 
         fn tree(flows: &[FlowOutcome]) -> String {
@@ -699,25 +878,35 @@ mod tests {
             out
         }
 
-        let mut flows = Vec::new();
-        for (i, served_by) in [None, Some(FlowPath::Physical), Some(FlowPath::Overlay)]
-            .into_iter()
-            .enumerate()
-        {
-            let mut f = FlowOutcome::started(&spec(2), SimTime::from_nanos(10_000 + i as u64));
-            f.is_attack = i == 1;
-            f.emitted = 2;
-            if served_by.is_some() {
-                f.record_delivery(SimTime::from_nanos(40_000), 100);
-                f.record_delivery(SimTime::from_nanos(70_000 + i as u64), 100);
-            }
-            f.served_by = served_by;
-            flows.push(f);
-        }
+        // Flows that never deliver, deliver after a controller relay (no
+        // path), and deliver over each network.
+        let flows = [
+            (false, None),
+            (true, None),
+            (true, Some(FlowPath::Physical)),
+            (true, Some(FlowPath::Overlay)),
+        ];
         for n in [0, 1, flows.len()] {
-            let mut direct = String::new();
-            write_flows(&mut direct, &flows[..n]);
-            assert_eq!(direct, tree(&flows[..n]), "{n} flows");
+            let mut ledger = FlowLedger::default();
+            for (i, &(delivers, served_by)) in flows[..n].iter().enumerate() {
+                let mut s = spec(2);
+                s.is_attack = i == 1;
+                let idx = ledger.start(&s, SimTime::from_nanos(10_000 + i as u64)) as usize;
+                ledger.record_emit(idx);
+                ledger.record_emit(idx);
+                if delivers {
+                    ledger.record_delivery(idx, SimTime::from_nanos(40_000), 100, || served_by);
+                    ledger.record_delivery(
+                        idx,
+                        SimTime::from_nanos(70_000 + i as u64),
+                        100,
+                        || unreachable!("asked only on the first delivery"),
+                    );
+                }
+            }
+            let views: Vec<FlowOutcome> = ledger.iter().collect();
+            assert_eq!(views.len(), n);
+            assert_eq!(rendered(&ledger), tree(&views), "{n} flows");
         }
     }
 
@@ -726,25 +915,40 @@ mod tests {
         assert!(std::mem::size_of::<FlowOutcome>() <= 72);
     }
 
+    /// Every generated flow costs a record; only delivering flows add
+    /// delivery counters.
+    #[test]
+    fn ledger_storage_stays_compact() {
+        assert!(std::mem::size_of::<FlowRecord>() <= 48);
+        assert!(std::mem::size_of::<FlowDelivery>() <= 32);
+    }
+
     #[test]
     fn delivery_times_are_none_iff_nothing_was_delivered() {
         let start = SimTime::from_millis(5);
-        let mut f = FlowOutcome::started(&spec(3), start);
+        let mut ledger = FlowLedger::default();
+        let idx = ledger.start(&spec(3), start) as usize;
+        let f = ledger.get(idx).unwrap();
         assert_eq!(f.delivered, 0);
         assert_eq!((f.first_delivered(), f.last_delivered()), (None, None));
         assert_eq!(f.setup_latency(), None);
         assert_eq!(f.completion_time(), None);
+        assert_eq!(f.served_by, None);
 
         let t1 = SimTime::from_millis(6);
-        assert!(f.record_delivery(t1, 100));
+        assert!(!ledger.record_delivery(idx, t1, 100, || Some(FlowPath::Overlay)));
+        let f = ledger.get(idx).unwrap();
         assert_eq!(
             (f.first_delivered(), f.last_delivered()),
             (Some(t1), Some(t1))
         );
+        assert_eq!(f.served_by, Some(FlowPath::Overlay));
 
         let t2 = SimTime::from_millis(8);
-        assert!(!f.record_delivery(t2, 100));
-        assert!(!f.record_delivery(t2, 100));
+        let later = || unreachable!("served_by is asked only on the first delivery");
+        assert!(!ledger.record_delivery(idx, t2, 100, later));
+        assert!(!ledger.record_delivery(idx, t2, 100, later));
+        let f = ledger.get(idx).unwrap();
         assert_eq!(f.delivered, 3);
         assert_eq!(f.delivered_bytes, 300);
         assert_eq!(
@@ -753,5 +957,66 @@ mod tests {
         );
         assert_eq!(f.setup_latency(), Some(SimDuration::from_millis(1)));
         assert_eq!(f.completion_time(), Some(SimDuration::from_millis(3)));
+        assert_eq!(f.served_by, Some(FlowPath::Overlay));
+        assert_eq!(ledger.get(idx + 1), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Random start / emit / deliver sequences, each delivery offering
+        /// a random `served_by`, leave the two-part ledger reading exactly
+        /// like flat 72-byte outcomes updated the same way: equal views
+        /// and byte-identical `flows` JSON after every step.
+        #[test]
+        fn prop_ledger_equals_flat_oracle(
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..16, 0u64..1_000_000_000, 0u32..3000, 0usize..3, 0u8..2),
+                1..120,
+            ),
+        ) {
+            let paths = [None, Some(FlowPath::Physical), Some(FlowPath::Overlay)];
+            let mut ledger = FlowLedger::default();
+            let mut oracle: Vec<FlowOutcome> = Vec::new();
+            for (step, &(op, pick, t, n, path, attack)) in ops.iter().enumerate() {
+                let at = SimTime::from_nanos(t);
+                if op == 0 || oracle.is_empty() {
+                    let s = FlowSpec {
+                        id: FlowId(((step as u64) << 40) | t),
+                        key: FlowKey::tcp(IpAddr(t as u32), n as u16, IpAddr(step as u32), 80),
+                        packets: n,
+                        packet_size: 100,
+                        packet_interval: SimDuration::from_millis(1),
+                        is_attack: attack == 1,
+                    };
+                    let idx = ledger.start(&s, at) as usize;
+                    prop_assert_eq!(idx, oracle.len());
+                    oracle.push(oracle_start(&s, at));
+                } else if op == 1 {
+                    let i = pick % oracle.len();
+                    ledger.record_emit(i);
+                    oracle[i].emitted += 1;
+                } else {
+                    let i = pick % oracle.len();
+                    let mut asked = false;
+                    let is_attack = ledger.record_delivery(i, at, n, || {
+                        asked = true;
+                        paths[path]
+                    });
+                    prop_assert_eq!(asked, oracle[i].delivered == 0, "step {}", step);
+                    prop_assert_eq!(is_attack, oracle[i].is_attack);
+                    oracle_deliver(&mut oracle[i], at, n, paths[path]);
+                }
+                prop_assert_eq!(ledger.len(), oracle.len());
+                prop_assert_eq!(ledger.iter().len(), oracle.len());
+                let views: Vec<FlowOutcome> = ledger.iter().collect();
+                prop_assert_eq!(&views, &oracle, "step {}", step);
+                for (i, o) in oracle.iter().enumerate() {
+                    prop_assert_eq!(ledger.get(i), Some(*o));
+                }
+                prop_assert_eq!(ledger.get(oracle.len()), None);
+                prop_assert_eq!(rendered(&ledger), rendered(oracle.iter().copied()));
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! reports.
 
 use crate::app::{ControllerMode, ScotchApp};
-use crate::report::{DropCounts, FlowOutcome, Report, SwitchReport, VSwitchReport};
+use crate::report::{DropCounts, FlowLedger, Report, SwitchReport, VSwitchReport};
 use scotch_controller::{Command, MasterView};
 use scotch_net::{IpAddr, Label, LinkId, NodeId, NodeKind, NodeMap, Packet, PortId, Topology};
 use scotch_openflow::{ControllerToSwitch, FlowModCommand, SwitchToController};
@@ -328,37 +328,53 @@ const CTRL_RX_KIND_NAMES: [&str; 6] = [
     "error",
 ];
 
-/// Dense flow-id → record-index map. `FlowId` encodes `stream << 48 | seq`
+/// Flow-id → ledger-index map. `FlowId` encodes `stream << 48 | seq`
 /// with both halves handed out contiguously by `FlowIdAllocator`, so two
 /// levels of `Vec` replace hashing on the per-packet delivery path (and the
 /// rehash churn of growing a map by hundreds of thousands of flows).
-/// Stored values are `index + 1`; 0 marks an empty slot.
+/// Stored values are `index + 1`; 0 marks an empty slot. An id far beyond
+/// the dense range — any `FlowId` a custom source may pick — goes to a
+/// hash-map spill instead of growing a `Vec` to its sequence number.
 #[derive(Default)]
 pub(crate) struct FlowIndex {
     streams: Vec<Vec<u32>>,
+    spill: FxHashMap<u64, u32>,
 }
 
 impl FlowIndex {
     const SEQ_MASK: u64 = (1 << 48) - 1;
+    /// Streams below this are dense (`FlowIdAllocator` numbers them from 0).
+    const DENSE_STREAMS: usize = 1 << 10;
+    /// Largest jump past a stream's dense end that still grows its `Vec`.
+    const DENSE_GAP: usize = 1 << 16;
 
     #[inline]
     fn get(&self, id: scotch_net::FlowId) -> Option<usize> {
         let stream = (id.0 >> 48) as usize;
         let seq = (id.0 & Self::SEQ_MASK) as usize;
-        match self.streams.get(stream)?.get(seq) {
+        match self.streams.get(stream).and_then(|v| v.get(seq)) {
             Some(&v) if v != 0 => Some((v - 1) as usize),
-            _ => None,
+            _ if self.spill.is_empty() => None,
+            _ => self.spill.get(&id.0).map(|&v| v as usize),
         }
     }
 
     fn insert(&mut self, id: scotch_net::FlowId, idx: u32) {
         let stream = (id.0 >> 48) as usize;
         let seq = (id.0 & Self::SEQ_MASK) as usize;
+        if stream >= Self::DENSE_STREAMS {
+            self.spill.insert(id.0, idx);
+            return;
+        }
         if stream >= self.streams.len() {
             self.streams.resize_with(stream + 1, Vec::new);
         }
         let v = &mut self.streams[stream];
         if seq >= v.len() {
+            if seq - v.len() > Self::DENSE_GAP {
+                self.spill.insert(id.0, idx);
+                return;
+            }
             v.resize(seq + 1, 0);
         }
         v[seq] = idx + 1;
@@ -431,11 +447,9 @@ pub struct Simulation {
     pub(crate) host_ip: NodeMap<IpAddr>,
     pub(crate) ip_host: FxHashMap<IpAddr, NodeId>,
     pub(crate) sources: Vec<(NodeId, Box<dyn FlowSource>)>,
-    /// Next per-source flow ordinal (indexed like `sources`).
-    pub(crate) source_seq: Vec<u32>,
-    /// The flow ledger: one report-ready outcome per generated flow, in
-    /// creation order, moved into [`Report::flows`] as is.
-    pub(crate) flows: Vec<FlowOutcome>,
+    /// The flow ledger: one entry per generated flow, in creation order,
+    /// moved into [`Report::flows`] as is.
+    pub(crate) flows: FlowLedger,
     /// Expected concurrent flows, from the scenario's workload spec. The
     /// controller's per-flow state is reserved to this size when the run
     /// starts rather than when the scenario is built, so building touches
@@ -516,8 +530,7 @@ impl Simulation {
             host_ip: NodeMap::new(),
             ip_host: FxHashMap::default(),
             sources: Vec::new(),
-            source_seq: Vec::new(),
-            flows: Vec::new(),
+            flows: FlowLedger::default(),
             flow_capacity_hint: 0,
             flow_index: FlowIndex::default(),
             tracked: FxHashMap::default(),
@@ -574,7 +587,6 @@ impl Simulation {
     /// Attach a workload source. `default_host` emits flows whose source
     /// address is not a registered host (spoofed traffic).
     pub fn add_source(&mut self, default_host: NodeId, source: Box<dyn FlowSource>) {
-        self.source_seq.push(0);
         self.sources.push((default_host, source));
     }
 
@@ -1406,13 +1418,12 @@ impl Simulation {
             return;
         }
         if let Some(idx) = self.flow_index.get(packet.flow_id) {
-            let rec = &mut self.flows[idx];
-            if rec.record_delivery(now, packet.size) {
-                // The flowdb lookup only matters on first delivery; keeping
-                // it out of the per-packet path saves a hash per event.
-                rec.served_by = self.app.flowdb.get(&packet.key).map(|i| i.path);
-            }
-            if !rec.is_attack {
+            // The flowdb lookup only matters on first delivery; keeping it
+            // out of the per-packet path saves a hash per event.
+            let is_attack = self.flows.record_delivery(idx, now, packet.size, || {
+                self.app.flowdb.get(&packet.key).map(|i| i.path)
+            });
+            if !is_attack {
                 self.latency
                     .record(now.duration_since(packet.born_at).as_nanos() as f64);
             }
@@ -1438,11 +1449,8 @@ impl Simulation {
             .get(&flow.key.src)
             .copied()
             .unwrap_or(*default_host);
-        let flow_idx = u32::try_from(self.flows.len()).expect("flow ledger index fits u32");
+        let flow_idx = self.flows.start(&flow, at);
         self.flow_index.insert(flow.id, flow_idx);
-        let seq = self.source_seq[source_idx];
-        self.source_seq[source_idx] = seq + 1;
-        self.flows.push(FlowOutcome::started(&flow, at));
         self.events.push(
             at,
             Event::FlowStart {
@@ -1461,7 +1469,7 @@ impl Simulation {
             Packet::data(spec.key, spec.id, now, seq, spec.packet_size)
         };
         packet.is_attack = spec.is_attack;
-        self.flows[flow_idx as usize].emitted += 1;
+        self.flows.record_emit(flow_idx as usize);
         self.journey_mark(now, &packet, JourneyPoint::Emit, src_host.0, 0);
         // Hosts have exactly one uplink; `run()` validated its existence at
         // startup, so a miss here is an internal invariant violation.
@@ -2147,5 +2155,40 @@ mod tests {
         assert!(size_of::<FlowRule>() <= 88);
         assert!(size_of::<FlowEntry>() <= 120);
         assert!(size_of::<ControllerToSwitch>() <= 96);
+    }
+
+    #[test]
+    fn flow_index_spills_ids_beyond_the_dense_range() {
+        use scotch_net::FlowId;
+        let mut index = FlowIndex::default();
+        let ids = [
+            FlowId(0),
+            FlowId(5),
+            FlowId(1 << 32),
+            FlowId(u64::MAX),
+            FlowId((2 << 48) | 1),
+        ];
+        for (i, &id) in ids.iter().enumerate() {
+            index.insert(id, i as u32);
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(index.get(id), Some(i), "{id:?}");
+        }
+        assert_eq!(index.get(FlowId(1)), None);
+        assert_eq!(index.get(FlowId((1 << 32) + 1)), None);
+        assert_eq!(index.get(FlowId(u64::MAX - 1)), None);
+        // Only the two far ids spilled; the dense `Vec`s stayed small.
+        assert_eq!(index.spill.len(), 2);
+        assert!(index.streams.iter().map(Vec::len).sum::<usize>() <= 8);
+
+        // A spilled id that the dense range grows over later: the newest
+        // insert wins, as it does for a dense id inserted twice.
+        let late = FlowId(70_000);
+        index.insert(late, 10);
+        assert_eq!(index.get(late), Some(10));
+        for seq in 6..=70_000 {
+            index.insert(FlowId(seq), 20);
+        }
+        assert_eq!(index.get(late), Some(20));
     }
 }

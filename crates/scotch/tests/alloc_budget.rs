@@ -9,10 +9,11 @@
 //! control path the same run made about 16 allocations per Packet-In.
 //!
 //! Under the Fig. 3 spoofed flood every packet is a new flow, so the
-//! per-flow ledger is what grows: one 72-byte report-ready `FlowOutcome`
-//! per flow, plus its slot in the flow-id index. Before the lean ledger
-//! each flow held a 120-byte record that was copied into an 88-byte
-//! outcome at report time.
+//! per-flow ledger is what grows: one 48-byte record per flow, plus its
+//! slot in the flow-id index; only the ~1% of flows that deliver add 32
+//! bytes of delivery counters. Before the sparse ledger each flow held a
+//! 72-byte outcome, and before the lean ledger a 120-byte record that was
+//! copied into an 88-byte outcome at report time.
 //!
 //! Under the overlay flood the installed rules are the largest state: one
 //! 120-byte table row and a 16-byte index slot each.
@@ -122,11 +123,12 @@ fn overlay_flood_controller_path_stays_within_allocation_budget() {
 /// Most heap bytes live at once from building the scenario to the
 /// finished report, above what was live before, per flow the run
 /// generated. The flow ledger's `Vec` doubles, so its capacity is up to 2x
-/// its length; the 72-byte outcomes come to about 102 bytes per flow here.
-/// Sizing the controller's flow state by the offered rate rather than by
-/// what the switch agent can admit cost 182 bytes per flow, and the
-/// 120-byte records the outcomes replaced about 245.
-const BUDGET_PEAK_BYTES_PER_FLOW: f64 = 113.0;
+/// its length; the 48-byte records come to about 71 bytes per flow here.
+/// Storing a flat 72-byte outcome for every flow cost about 102 bytes per
+/// flow, sizing the controller's flow state by the offered rate rather
+/// than by what the switch agent can admit 182, and the 120-byte records
+/// the outcomes replaced about 245.
+const BUDGET_PEAK_BYTES_PER_FLOW: f64 = 75.0;
 
 #[test]
 fn ddos_flood_peak_heap_per_flow_stays_within_budget() {
@@ -155,7 +157,7 @@ fn ddos_flood_peak_heap_per_flow_stays_within_budget() {
 /// at up to three vSwitches, and with a 10 s idle timeout none expires in
 /// 5 s, so rules are the largest state. Each costs a 120-byte table row,
 /// a 16-byte index slot and a share of the `(src, dst)` index map; the
-/// run measures about 417 bytes per rule, and 548 before rules were split
+/// run measures about 422 bytes per rule, and 548 before rules were split
 /// from their table rows.
 const BUDGET_PEAK_BYTES_PER_RULE: f64 = 450.0;
 
