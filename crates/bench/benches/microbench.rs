@@ -124,6 +124,39 @@ fn bench_event_queue(filter: &Option<String>) {
             at
         });
     }
+    for backlog in [64u64, 4096] {
+        bench_near_chain(filter, backlog);
+    }
+}
+
+/// The engine's shape under a spoofed flood (`ddos_punt`): a backlog of
+/// far events (Packet-Ins waiting out the switch agent's queue and the
+/// control latency) plus one chain of near events (flow start, arrival,
+/// next flow start) that pops what it has just pushed. Each iteration pops
+/// the earliest event and pushes its successor: a chain event 1–100 µs
+/// later, a backlog event 8–24 chain steps per backlog event later, so
+/// about one pop in sixteen is a backlog event and the pending count stays
+/// `backlog + 1`.
+fn bench_near_chain(filter: &Option<String>, backlog: u64) {
+    const NEAR: u64 = 0;
+    const FAR: u64 = 1;
+    let step = |rng: &mut SimRng, kind: u64| match kind {
+        NEAR => rng.range_u64(1_000, 100_000),
+        _ => rng.range_u64(8 * backlog * 50_000, 24 * backlog * 50_000),
+    };
+    let mut rng = SimRng::new(7);
+    let mut q = EventQueue::new();
+    q.push(SimTime::ZERO, [NEAR; 9]);
+    for _ in 0..backlog {
+        let at = step(&mut rng, FAR);
+        q.push(SimTime::from_nanos(at), [FAR; 9]);
+    }
+    bench(filter, &format!("event_queue_near_chain/{backlog}"), || {
+        let (at, payload) = q.pop().unwrap();
+        let delay = step(&mut rng, payload[0]);
+        q.push(at + SimDuration::from_nanos(delay), payload);
+        at
+    });
 }
 
 fn bench_fifo_server(filter: &Option<String>) {

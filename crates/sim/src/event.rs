@@ -7,25 +7,43 @@
 //!
 //! ## Layout
 //!
-//! [`EventQueue`] is a binary min-heap of 24-byte keys `(at, seq, slot)`
-//! over a payload slab. A push moves the payload into a free slab slot and
-//! pushes its key; a pop takes the payload back out of its slot and frees
-//! the slot for the next push. Heap sifts therefore move keys, never
-//! payloads, whatever the size of `E`. Freed slots are reused last-freed
-//! first, so the few slots a small pending set cycles through stay in
-//! cache, and the steady state allocates nothing.
+//! [`EventQueue`] keeps 24-byte keys `(at, seq, slot)` over a payload slab.
+//! A push moves the payload into a free slab slot and files its key; a pop
+//! takes the payload back out of its slot and frees the slot for the next
+//! push. Keys move, never payloads, whatever the size of `E`. Freed slots
+//! are reused last-freed first, so the few slots a small pending set cycles
+//! through stay in cache, and the steady state allocates nothing.
 //!
-//! A push or pop costs O(log n) in the pending count. The engine's pending
-//! sets are tens of events, where that beats the constant-factor overhead of
-//! a timing wheel; DESIGN.md §9 has the measurements and the crossover.
+//! The keys live in two tiers. The *front* is an inline sorted array of at
+//! most `FRONT` (4) keys; behind it a binary min-heap holds the rest. Every
+//! front key is below every heap key, so:
+//!
+//! - a push below the heap's top goes into the front, and when the front is
+//!   full its largest key moves to the heap; any other push goes to the heap;
+//! - a pop takes the front's smallest key, and touches the heap only when
+//!   the front is empty.
+//!
+//! The engine's pending sets are tens of events, most of them far ahead of
+//! `now` (Packet-Ins waiting out an agent's queue and the control latency),
+//! while the next few events are a chain of near ones that each pop soon
+//! after they were pushed. The front serves that chain in a handful of
+//! comparisons, and the far events stay in the heap, whose O(log n) sifts
+//! they pay once on the way in and once on the way out. DESIGN.md §9 has
+//! the hit rates, the measurements and the heap-versus-wheel crossover.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A pending event's heap key. Ordered by `(at, seq)`; `seq` is unique, so
+/// Capacity of the front tier, in keys. Over whole spoofed-flood runs a
+/// front of 1, 2, 4 and 8 keys serves 45%, 91%, 96% and 96% of the pops,
+/// so a wider front would only lengthen the insertion scan. Not a tuning
+/// knob: the pop order does not depend on it.
+const FRONT: usize = 4;
+
+/// A pending event's key. Ordered by `(at, seq)`; `seq` is unique, so
 /// `slot` (where the payload lives) never decides an order.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     at: u64,
     seq: u64,
@@ -47,7 +65,11 @@ struct Key {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Keys of the pending events; `Reverse` makes the max-heap a min-heap.
+    /// The earliest pending keys, sorted descending: `front[front_len - 1]`
+    /// is the next to pop. Every key here is below every key in `heap`.
+    front: [Key; FRONT],
+    front_len: usize,
+    /// The other pending keys; `Reverse` makes the max-heap a min-heap.
     heap: BinaryHeap<Reverse<Key>>,
     /// Payloads by slot; `None` marks a free slot.
     slab: Vec<Option<E>>,
@@ -70,6 +92,12 @@ impl<E> EventQueue<E> {
     /// An empty queue positioned at `t = 0`.
     pub fn new() -> Self {
         EventQueue {
+            front: [Key {
+                at: 0,
+                seq: 0,
+                slot: 0,
+            }; FRONT],
+            front_len: 0,
             heap: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -101,16 +129,47 @@ impl<E> EventQueue<E> {
                 slot
             }
         };
-        self.heap.push(Reverse(Key {
+        self.file(Key {
             at: at.0,
             seq,
             slot,
-        }));
+        });
+    }
+
+    /// File `key` in the front if it is below the heap's top (evicting the
+    /// front's largest key to the heap when the front is full), else in the
+    /// heap.
+    fn file(&mut self, key: Key) {
+        if self.heap.peek().is_some_and(|Reverse(top)| key > *top) {
+            self.heap.push(Reverse(key));
+            return;
+        }
+        let n = self.front_len;
+        // Keys above `key` stay ahead of it in the descending order.
+        let i = self.front[..n].iter().take_while(|k| **k > key).count();
+        if n < FRONT {
+            self.front.copy_within(i..n, i + 1);
+            self.front[i] = key;
+            self.front_len = n + 1;
+        } else if i == 0 {
+            // `key` is the largest of the FRONT + 1: it alone moves on.
+            self.heap.push(Reverse(key));
+        } else {
+            self.heap.push(Reverse(self.front[0]));
+            self.front.copy_within(1..i, 0);
+            self.front[i - 1] = key;
+        }
     }
 
     /// Remove and return the earliest event, advancing the queue's clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(key) = self.heap.pop()?;
+        let key = match self.front_len {
+            0 => self.heap.pop()?.0,
+            n => {
+                self.front_len = n - 1;
+                self.front[n - 1]
+            }
+        };
         let payload = self.slab[key.slot as usize]
             .take()
             .expect("a pending key owns its slot");
@@ -124,7 +183,10 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(k)| SimTime(k.at))
+        match self.front_len {
+            0 => self.heap.peek().map(|Reverse(k)| SimTime(k.at)),
+            n => Some(SimTime(self.front[n - 1].at)),
+        }
     }
 
     /// The current simulation time: the timestamp of the last popped event.
@@ -134,12 +196,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.front_len + self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.front_len == 0 && self.heap.is_empty()
     }
 
     /// The most events ever pending at once. The slab grows only when every
@@ -239,6 +301,12 @@ mod tests {
 
         fn check(&mut self) {
             let q = &self.queue;
+            // The two-tier layout: a sorted front, all of it below the heap.
+            let front = &q.front[..q.front_len];
+            assert!(front.windows(2).all(|w| w[0] > w[1]), "front unsorted");
+            if let (Some(largest), Some(Reverse(top))) = (front.first(), q.heap.peek()) {
+                assert!(largest < top, "front key above the heap's top");
+            }
             assert_eq!(q.peek_time(), self.oracle.peek_time());
             assert_eq!(q.len(), self.oracle.heap.len());
             assert_eq!(q.is_empty(), self.oracle.heap.is_empty());
@@ -253,6 +321,27 @@ mod tests {
         fn drain(mut self) {
             while self.pop().is_some() {}
         }
+    }
+
+    #[test]
+    fn full_front_moves_its_largest_key_to_the_heap() {
+        let mut q = EventQueue::new();
+        for i in 0..FRONT as u64 {
+            q.push(SimTime::from_nanos(10 + i), i);
+        }
+        assert_eq!((q.front_len, q.heap.len()), (FRONT, 0));
+        // Below every front key: the front's largest (13) moves on.
+        q.push(SimTime::from_nanos(5), 99);
+        assert_eq!((q.front_len, q.heap.len()), (FRONT, 1));
+        assert_eq!(q.heap.peek().map(|Reverse(k)| k.at), Some(13));
+        // Below the heap's top but above the whole front: straight on.
+        q.push(SimTime::from_nanos(12), 98);
+        assert_eq!(q.heap.peek().map(|Reverse(k)| k.at), Some(12));
+        // Above the heap's top: the front is not touched.
+        q.push(SimTime::from_nanos(50), 97);
+        assert_eq!((q.front_len, q.heap.len()), (FRONT, 3));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![99, 0, 1, 2, 98, 3, 97]);
     }
 
     #[test]
@@ -436,6 +525,52 @@ mod tests {
                     4 => { s.pop(); }
                     // Saturating: `now` may already sit near `u64::MAX`.
                     _ => s.push(SimTime::from_nanos(s.queue.now().as_nanos().saturating_add(*t)), i),
+                }
+            }
+            s.drain();
+        }
+
+        /// The engine's shape: a backlog of far events plus a chain of near
+        /// pushes at or just after `now`, pushes that tie the `at` of a
+        /// front key, bursts that overfill the front (eviction), pushes
+        /// that clamp into the past, and pops, which mostly take the chain.
+        #[test]
+        fn prop_queue_matches_oracle_front_shape(
+            backlog in 0usize..80,
+            ops in proptest::collection::vec((0u8..8, 0u64..1_000), 1..400),
+        ) {
+            const FAR: u64 = 1_000_000_000;
+            let mut s = Differential::new();
+            for i in 0..backlog {
+                s.push(SimTime::from_nanos(FAR + i as u64 * 7_919 % 1_000 * 1_000), i);
+            }
+            for (i, (op, t)) in ops.iter().enumerate() {
+                let now = s.queue.now().as_nanos();
+                let payload = 1_000 + i * 16;
+                match op {
+                    0 => s.push(SimTime::from_nanos(now + FAR + t * 1_000), payload),
+                    1 => s.push(SimTime::from_nanos(now + t % 8), payload),
+                    2 => {
+                        // Tie a front key's time, when there is one.
+                        let q = &s.queue;
+                        let at = match q.front_len {
+                            0 => now + t,
+                            n => q.front[*t as usize % n].at,
+                        };
+                        s.push(SimTime::from_nanos(at), payload);
+                    }
+                    3 => {
+                        // More near keys than the front holds, in a random
+                        // order, so later ones land below earlier ones.
+                        for k in 0..FRONT as u64 + 1 + t % 3 {
+                            let at = now + (t + k * 5) % 11;
+                            s.push(SimTime::from_nanos(at), payload + k as usize);
+                        }
+                    }
+                    4 => s.push(SimTime::from_nanos(now.saturating_sub(*t)), payload),
+                    _ => {
+                        s.pop();
+                    }
                 }
             }
             s.drain();
