@@ -10,7 +10,8 @@
 //!
 //! Topology:
 //!   --scenario <datacenter|single|multirack>   (default: datacenter)
-//!   --mesh <N>          mesh vSwitches                  (default: 4)
+//!   --mesh <N>          mesh vSwitches (per rack for multirack); 0 only
+//!                       with --baseline                 (default: 4)
 //!   --racks <N>         racks for multirack             (default: 3)
 //!   --servers <N>       servers (datacenter)            (default: 2)
 //!   --middlebox         stateful firewall on server 0
@@ -52,7 +53,7 @@
 //!   --duration <SECS>   simulated seconds per job         (default: 4)
 //!   --attack <RATE>     flood rate for every job          (default: 1500)
 //!   --clients <RATE>    client rate for every job         (default: 100)
-//!   --threads <N>       worker threads                    (default: cores)
+//!   --threads <N>       worker threads; 0 = all cores     (default: 0)
 //!   --out <DIR>         manifest directory                (default: results)
 //!   --sampling-rate <P> run every job with sampled telemetry at rate P
 //!   --sampling-ablation replace the grid with the sampled-telemetry
@@ -297,6 +298,15 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if o.failover.is_some() && o.controllers < 2 {
         return Err("--failover requires --controllers >= 2".into());
     }
+    // Scotch with no mesh vSwitch has nowhere to divert a flood to; it would
+    // run as an unprotected baseline under Scotch's name.
+    if o.mesh == 0 && !o.baseline && o.scenario != "single" {
+        return Err(
+            "--mesh 0 leaves Scotch no overlay; use --mesh >= 1, or --baseline \
+             to run without Scotch"
+                .into(),
+        );
+    }
     Ok(o)
 }
 
@@ -375,7 +385,7 @@ fn parse_sampling_rate(text: &str) -> Result<f64, String> {
 fn build_scenario(o: &Options) -> Scenario {
     let mut s = match o.scenario.as_str() {
         "single" => Scenario::single_switch(scotch_switch::SwitchProfile::pica8_pronto_3780()),
-        "multirack" => Scenario::multirack(o.racks, o.mesh.max(1)),
+        "multirack" => Scenario::multirack(o.racks, o.mesh),
         _ => Scenario::overlay_datacenter(o.mesh).with_servers(o.servers),
     };
     if o.middlebox {
@@ -1172,6 +1182,7 @@ fn sweep_main(args: &[String]) -> i32 {
                 eprintln!("error: {e}\n");
             }
             eprintln!("usage: scotch-cli sweep [--smoke] [--scenario NAME] [--seeds N] ...");
+            eprintln!("       [--threads N]  worker threads; 0 = all cores (the default)");
             eprintln!("       (full flag list in the doc comment at the top of scotch-cli.rs)");
             return if e == "help" { 0 } else { 2 };
         }
@@ -2122,6 +2133,30 @@ mod tests {
     }
 
     #[test]
+    fn mesh_zero_without_baseline_is_rejected() {
+        // Scotch with no mesh vSwitch: 0 activations, an unprotected run.
+        let err = parse("--mesh 0 --attack 2000").unwrap_err();
+        assert!(err.contains("--mesh 0"), "{err}");
+    }
+
+    #[test]
+    fn multirack_mesh_zero_is_rejected() {
+        // Not silently sized up to one mesh vSwitch per rack.
+        let err = parse("--scenario multirack --mesh 0").unwrap_err();
+        assert!(err.contains("--mesh 0"), "{err}");
+        let o = parse("--scenario multirack --mesh 0 --baseline").unwrap();
+        assert_eq!(o.mesh, 0);
+    }
+
+    #[test]
+    fn mesh_zero_with_baseline_is_accepted() {
+        let o = parse("--mesh 0 --baseline --attack 2000").unwrap();
+        assert_eq!((o.mesh, o.baseline), (0, true));
+        // The single-switch topology has no mesh to size.
+        assert!(parse("--scenario single --mesh 0").is_ok());
+    }
+
+    #[test]
     fn shard_flags_parse() {
         // The multi-rack model knobs outlive the engine flags they once sat beside.
         let o =
@@ -2503,6 +2538,13 @@ mod tests {
         assert_eq!(jobs.len(), 5);
         assert_eq!(jobs[0].id, "multirack/s10");
         assert_eq!(jobs[4].id, "multirack/s14");
+    }
+
+    #[test]
+    fn sweep_threads_zero_means_all_cores() {
+        // 0 is the default and leaves the runner at its all-cores count.
+        assert_eq!(parse_sweep("").unwrap().threads, 0);
+        assert_eq!(parse_sweep("--smoke --threads 0").unwrap().threads, 0);
     }
 
     #[test]

@@ -71,11 +71,12 @@ pub(crate) enum Event {
         from: NodeId,
         msg: Box<SwitchToController>,
     },
-    /// A controller→switch message arrives at a switch.
-    CtrlToSwitch {
-        to: NodeId,
-        msg: Box<ControllerToSwitch>,
-    },
+    /// A burst of controller→switch commands arrives, each at its own
+    /// switch, in dispatch order. `dispatch_commands` groups consecutive
+    /// commands with one delivery time into one event: their queue keys
+    /// would be adjacent anyway, so the pop order is unchanged (DESIGN.md
+    /// §9, "Control path").
+    CtrlToSwitch { burst: Burst },
     /// Periodic controller work (queue service, monitoring).
     ControllerTick,
     /// Periodic FlowStats poll (§5.3).
@@ -118,6 +119,14 @@ pub(crate) enum Event {
     ClearCtrlPartition,
 }
 
+/// Controller→switch commands that arrive at one instant, in dispatch
+/// order. Boxed on purpose: the `Event` variant carrying it stays one thin
+/// pointer. An inline `Vec` changes the enum's layout and the compiled
+/// queue push/pop, and in a measured prototype slowed `ddos_punt` by
+/// 11–17%.
+#[allow(clippy::box_collection)]
+type Burst = Box<Vec<Command>>;
+
 /// Dispatch-profile row labels: the 21 [`Event`] kinds plus refined rows
 /// that split the hottest variants by what actually happened inside them.
 /// An `Arrive` that label-switches through a tunnel takes a very different
@@ -157,6 +166,8 @@ const PROFILE_KIND_TUNNEL_TRANSIT: usize = 21;
 const PROFILE_KIND_PACKET_IN: usize = 22;
 /// Refined profile row: `CtrlToSwitch` carrying a FlowMod.
 const PROFILE_KIND_FLOWMOD: usize = 23;
+/// Profile row of a `CtrlToSwitch` command other than a FlowMod.
+const PROFILE_KIND_CTRL_TO_SWITCH: usize = 5;
 
 impl Event {
     /// Profile row of the event's variant (one of the first 21 rows of
@@ -189,12 +200,14 @@ impl Event {
     }
 
     /// Model events this queue event stands for: 2 for a `FlowStart` (the
-    /// packet-0 emission plus the arrival draw), 1 for everything else.
-    /// `Report::events_processed` counts these, so fusing the pair into
-    /// one queue event leaves the canonical report unchanged.
+    /// packet-0 emission plus the arrival draw), one per command for a
+    /// `CtrlToSwitch` burst, 1 for everything else.
+    /// `Report::events_processed` counts these, so fusing several model
+    /// events into one queue event leaves the canonical report unchanged.
     fn model_events(&self) -> u64 {
         match self {
             Event::FlowStart { .. } => 2,
+            Event::CtrlToSwitch { burst } => burst.len() as u64,
             _ => 1,
         }
     }
@@ -266,16 +279,12 @@ impl ChaosState {
             Event::CtrlFromSwitch { msg, .. } | Event::CtrlProcessed { msg, .. } => {
                 self.in_flight_rx[ctrl_rx_kind(msg)] += 1;
             }
-            Event::CtrlToSwitch { msg, .. } => {
-                self.in_flight_tx[ctrl_tx_kind(msg)] += 1;
-                if matches!(
-                    msg.as_ref(),
-                    ControllerToSwitch::FlowMod {
-                        command: FlowModCommand::Add(_),
-                        ..
+            Event::CtrlToSwitch { burst } => {
+                for cmd in burst.iter() {
+                    self.in_flight_tx[ctrl_tx_kind(&cmd.msg)] += 1;
+                    if is_flowmod_add(&cmd.msg) {
+                        self.in_flight_flowmod_add += 1;
                     }
-                ) {
-                    self.in_flight_flowmod_add += 1;
                 }
             }
             _ => {}
@@ -295,6 +304,17 @@ fn ctrl_tx_kind(msg: &ControllerToSwitch) -> usize {
         ControllerToSwitch::EchoRequest { .. } => 4,
         ControllerToSwitch::Barrier { .. } => 5,
     }
+}
+
+/// Whether `msg` is a FlowMod Add (the FlowMod conservation ledger's unit).
+fn is_flowmod_add(msg: &ControllerToSwitch) -> bool {
+    matches!(
+        msg,
+        ControllerToSwitch::FlowMod {
+            command: FlowModCommand::Add(_),
+            ..
+        }
+    )
 }
 
 const CTRL_TX_KIND_NAMES: [&str; 6] = [
@@ -390,9 +410,10 @@ fn chaos_stream(streams: &mut FxHashMap<u32, SimRng>, seed: u64, origin: u32) ->
         .or_insert_with(|| SimRng::new(seed ^ (origin as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
-/// A free list of message boxes. Control events carry their message boxed
-/// (see [`Event::CtrlFromSwitch`]); recycling the box of each delivered
-/// message means steady-state control traffic allocates nothing.
+/// A free list of message boxes. Control events carry their payload boxed
+/// (see [`Event::CtrlFromSwitch`] and [`Event::CtrlToSwitch`]); recycling
+/// the box of each delivered message or burst means steady-state control
+/// traffic allocates nothing.
 struct BoxPool<T> {
     free: Vec<Box<T>>,
 }
@@ -423,16 +444,28 @@ impl<T> BoxPool<T> {
     /// value in it, and keep the box for reuse.
     fn unboxed(&mut self, mut b: Box<T>, vacant: T) -> T {
         let msg = std::mem::replace(&mut *b, vacant);
+        self.recycle(b);
+        msg
+    }
+
+    /// Keep a delivered box for reuse.
+    fn recycle(&mut self, b: Box<T>) {
         if self.free.len() < Self::CAP {
             self.free.push(b);
         }
-        msg
     }
 }
 
-/// Placeholders left in a recycled box once its message is moved out:
-/// heap-free variants, so the swap costs a few stores.
-const VACANT_TO_SWITCH: ControllerToSwitch = ControllerToSwitch::FlowStatsRequest;
+impl BoxPool<Vec<Command>> {
+    /// An empty command burst, reusing a drained box and its capacity when
+    /// one is free.
+    fn burst(&mut self) -> Burst {
+        self.free.pop().unwrap_or_default()
+    }
+}
+
+/// Placeholder left in a recycled box once its message is moved out: a
+/// heap-free variant, so the swap costs a few stores.
 const VACANT_FROM_SWITCH: SwitchToController = SwitchToController::EchoReply { nonce: 0 };
 
 /// The simulation.
@@ -474,8 +507,9 @@ pub struct Simulation {
     /// command list.
     cmd_buf: Vec<Command>,
     /// Recycled control-message boxes (see [`BoxPool`]): a delivered
-    /// message's box carries the next message of the same direction.
-    to_switch_boxes: BoxPool<ControllerToSwitch>,
+    /// message's box carries the next switch→controller message, and a
+    /// delivered burst's box the next controller→switch burst.
+    bursts: BoxPool<Vec<Command>>,
     from_switch_boxes: BoxPool<SwitchToController>,
     pub(crate) sweep_interval: SimDuration,
     /// Unified metrics registry: periodic series are sampled during the
@@ -541,7 +575,7 @@ impl Simulation {
             misrouted: 0,
             out_buf: Vec::new(),
             cmd_buf: Vec::new(),
-            to_switch_boxes: BoxPool::default(),
+            bursts: BoxPool::default(),
             from_switch_boxes: BoxPool::default(),
             sweep_interval: SimDuration::from_secs(1),
             registry: MetricsRegistry::new(),
@@ -995,24 +1029,22 @@ impl Simulation {
 
     /// Send initial controller commands (e.g. policy green rules) at t=0.
     pub fn bootstrap_commands(&mut self, commands: Vec<Command>) {
-        for cmd in commands {
-            // Bootstrap bypasses `dispatch_commands` (no ctrl_tx counting,
-            // no fault perturbation: it models pre-loaded state, not live
-            // control traffic), but the FlowMod-conservation ledger must
-            // still see its Adds or the chaos invariant would not balance.
-            if matches!(
-                &cmd.msg,
-                ControllerToSwitch::FlowMod {
-                    command: FlowModCommand::Add(_),
-                    ..
-                }
-            ) {
-                self.chaos.flowmod_add_sent += 1;
-            }
-            let msg = self.to_switch_boxes.boxed(cmd.msg);
-            self.events
-                .push(SimTime::ZERO, Event::CtrlToSwitch { to: cmd.to, msg });
+        if commands.is_empty() {
+            return;
         }
+        // Bootstrap bypasses `dispatch_commands` (no ctrl_tx counting, no
+        // fault perturbation: it models pre-loaded state, not live control
+        // traffic), but the FlowMod-conservation ledger must still see its
+        // Adds or the chaos invariant would not balance.
+        let adds = commands.iter().filter(|c| is_flowmod_add(&c.msg)).count();
+        self.chaos.flowmod_add_sent += adds as u64;
+        // All of them arrive at t = 0: one burst.
+        self.events.push(
+            SimTime::ZERO,
+            Event::CtrlToSwitch {
+                burst: Box::new(commands),
+            },
+        );
     }
 
     fn control_latency(&self, node: NodeId) -> SimDuration {
@@ -1036,18 +1068,19 @@ impl Simulation {
     }
 
     /// Send every command in `commands` (leaving it empty for reuse).
+    ///
+    /// Consecutive commands with the same delivery time (after the chaos
+    /// drop and delay draws) travel as one [`Event::CtrlToSwitch`] burst.
+    /// Pushed one by one they would hold adjacent `(at, seq)` queue keys,
+    /// and whatever a delivered command schedules gets a later `seq`, so
+    /// delivering the burst in order at `at` pops exactly as they would.
     fn dispatch_commands(&mut self, now: SimTime, commands: &mut Vec<Command>) {
+        let mut open: Option<(SimTime, Burst)> = None;
         for cmd in commands.drain(..) {
             let kind = ctrl_tx_kind(&cmd.msg);
             self.ctrl_tx[kind] += 1;
-            let is_flowmod_add = matches!(
-                &cmd.msg,
-                ControllerToSwitch::FlowMod {
-                    command: FlowModCommand::Add(_),
-                    ..
-                }
-            );
-            if self.chaos_seed.is_some() && is_flowmod_add {
+            let add = is_flowmod_add(&cmd.msg);
+            if self.chaos_seed.is_some() && add {
                 self.chaos.flowmod_add_sent += 1;
             }
             if self.app.trace.is_enabled() {
@@ -1074,7 +1107,7 @@ impl Simulation {
                 let rng = chaos_stream(&mut self.chaos_streams, seed, u32::MAX);
                 if now < self.chaos.loss_until && rng.chance(self.chaos.loss_p) {
                     self.chaos.tx_dropped[kind] += 1;
-                    if is_flowmod_add {
+                    if add {
                         self.chaos.flowmod_add_dropped += 1;
                     }
                     self.app.trace.record(
@@ -1118,9 +1151,19 @@ impl Simulation {
                     }
                 }
             }
-            let msg = self.to_switch_boxes.boxed(cmd.msg);
-            self.events
-                .push(at, Event::CtrlToSwitch { to: cmd.to, msg });
+            match &mut open {
+                Some((burst_at, burst)) if *burst_at == at => burst.push(cmd),
+                _ => {
+                    let mut burst = self.bursts.burst();
+                    burst.push(cmd);
+                    if let Some((burst_at, burst)) = open.replace((at, burst)) {
+                        self.events.push(burst_at, Event::CtrlToSwitch { burst });
+                    }
+                }
+            }
+        }
+        if let Some((burst_at, burst)) = open {
+            self.events.push(burst_at, Event::CtrlToSwitch { burst });
         }
     }
 
@@ -1713,40 +1756,11 @@ impl Simulation {
                 let msg = self.from_switch_boxes.unboxed(msg, VACANT_FROM_SWITCH);
                 self.controller_handle(now, from, msg);
             }
-            Event::CtrlToSwitch { to, msg } => {
-                if self.profiler.is_some() && ctrl_tx_kind(&msg) == 0 {
-                    self.profile_kind = PROFILE_KIND_FLOWMOD;
-                }
-                if self.chaos_seed.is_some() {
-                    // A failed vSwitch absorbs the command (its own
-                    // ctrl_absorbed counter also ticks); so does a node
-                    // with no attached device. Tallied so the FlowMod
-                    // conservation ledger balances exactly.
-                    let dead_vs = self.vswitches.get(to).map(|v| v.failed).unwrap_or(false);
-                    let no_device =
-                        self.physical.get(to).is_none() && self.vswitches.get(to).is_none();
-                    if dead_vs || no_device {
-                        self.chaos.absorbed[ctrl_tx_kind(&msg)] += 1;
-                        if matches!(
-                            msg.as_ref(),
-                            ControllerToSwitch::FlowMod {
-                                command: FlowModCommand::Add(_),
-                                ..
-                            }
-                        ) {
-                            self.chaos.flowmod_add_absorbed += 1;
-                        }
-                    }
-                }
-                let msg = self.to_switch_boxes.unboxed(msg, VACANT_TO_SWITCH);
-                let mut buf = std::mem::take(&mut self.out_buf);
-                if let Some(sw) = self.physical.get_mut(to) {
-                    sw.handle_controller_msg(now, msg, &mut buf);
-                } else if let Some(vs) = self.vswitches.get_mut(to) {
-                    vs.handle_controller_msg(now, msg, &mut buf);
-                }
-                self.handle_outputs(now, to, &mut buf);
-                self.out_buf = buf;
+            Event::CtrlToSwitch { burst } => {
+                // Each command is its own profile sample (see
+                // `deliver_burst`), so the per-event sample below is skipped.
+                self.deliver_burst(now, burst, prof);
+                return;
             }
             Event::ControllerTick => {
                 // During a controller stall the periodic work is skipped
@@ -1938,6 +1952,59 @@ impl Simulation {
                 p.record(kind, t0.elapsed().as_nanos() as f64);
             }
         }
+    }
+
+    /// Deliver a controller→switch burst in dispatch order, then recycle
+    /// its box. With the profiler on, `stamp` is the instant the burst's
+    /// dispatch began; each command is timed as if it had arrived alone
+    /// (its own start and end stamps, the recording outside them) and
+    /// booked under its own `ctrl_flowmod` or `ctrl_to_switch` row.
+    fn deliver_burst(
+        &mut self,
+        now: SimTime,
+        mut burst: Burst,
+        mut stamp: Option<std::time::Instant>,
+    ) {
+        for Command { to, msg } in burst.drain(..) {
+            let t0 = stamp
+                .take()
+                .or_else(|| self.profiler.as_ref().map(|_| std::time::Instant::now()));
+            let row = if ctrl_tx_kind(&msg) == 0 {
+                PROFILE_KIND_FLOWMOD
+            } else {
+                PROFILE_KIND_CTRL_TO_SWITCH
+            };
+            self.deliver_command(now, to, msg);
+            if let (Some(t0), Some(p)) = (t0, self.profiler.as_mut()) {
+                p.record(row, t0.elapsed().as_nanos() as f64);
+            }
+        }
+        self.bursts.recycle(burst);
+    }
+
+    /// One controller→switch command arrives at switch `to`.
+    fn deliver_command(&mut self, now: SimTime, to: NodeId, msg: ControllerToSwitch) {
+        if self.chaos_seed.is_some() {
+            // A failed vSwitch absorbs the command (its own ctrl_absorbed
+            // counter also ticks); so does a node with no attached device.
+            // Tallied so the FlowMod conservation ledger balances exactly.
+            let dead_vs = self.vswitches.get(to).map(|v| v.failed).unwrap_or(false);
+            let no_device = self.physical.get(to).is_none() && self.vswitches.get(to).is_none();
+            if dead_vs || no_device {
+                self.chaos.absorbed[ctrl_tx_kind(&msg)] += 1;
+                if is_flowmod_add(&msg) {
+                    self.chaos.flowmod_add_absorbed += 1;
+                }
+            }
+        }
+        let mut buf = std::mem::take(&mut self.out_buf);
+        if let Some(sw) = self.physical.get_mut(to) {
+            sw.handle_controller_msg(now, msg, &mut buf);
+        } else if let Some(vs) = self.vswitches.get_mut(to) {
+            vs.handle_controller_msg(now, msg, &mut buf);
+        }
+        self.handle_outputs(now, to, &mut buf);
+        self.out_buf = buf;
     }
 
     fn into_report(mut self, until: SimTime, events_processed: u64) -> Report {
@@ -2136,6 +2203,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
 
     #[test]
     fn event_stays_72_bytes() {
@@ -2190,5 +2258,146 @@ mod tests {
             index.insert(FlowId(seq), 20);
         }
         assert_eq!(index.get(late), Some(20));
+    }
+
+    /// The controller-stream reorder draws `dispatch_commands` makes for
+    /// `n` commands with the loss window closed: `Some(extra ns)` for each
+    /// delayed command.
+    fn reorder_draws(seed: u64, p: f64, jitter: SimDuration, n: usize) -> Vec<Option<u64>> {
+        let mut streams = FxHashMap::default();
+        let rng = chaos_stream(&mut streams, seed, u32::MAX);
+        (0..n)
+            .map(|_| rng.chance(p).then(|| rng.range_u64(0, jitter.as_nanos())))
+            .collect()
+    }
+
+    #[test]
+    fn dispatch_bursts_break_where_the_delivery_time_changes() {
+        let mut sim = Scenario::overlay_datacenter(2).build(7);
+        while sim.events.pop().is_some() {}
+        let phys = sim.physical.keys().next().unwrap();
+        let vs: Vec<NodeId> = sim.vswitches.keys().take(2).collect();
+        let (v1, v2) = (vs[0], vs[1]);
+        assert_ne!(sim.control_latency(phys), sim.control_latency(v1));
+        assert_eq!(sim.control_latency(v1), sim.control_latency(v2));
+
+        // Command 2 alone draws a reorder delay, between equal-time ones.
+        let dests = [v1, v2, v2, v2, v2, phys, phys, v1];
+        let (p, jitter) = (0.5, SimDuration::from_millis(1));
+        let delayed = |d: &[Option<u64>]| {
+            d.iter()
+                .enumerate()
+                .all(|(i, x)| (i == 2) == x.is_some_and(|e| e > 0))
+        };
+        let seed = (0..10_000u64)
+            .find(|&s| delayed(&reorder_draws(s, p, jitter, dests.len())))
+            .expect("a seed that delays only command 2");
+        let draws = reorder_draws(seed, p, jitter, dests.len());
+        let now = SimTime::from_millis(10);
+        let at: Vec<SimTime> = dests
+            .iter()
+            .zip(&draws)
+            .map(|(&d, x)| now + sim.control_latency(d) + SimDuration::from_nanos(x.unwrap_or(0)))
+            .collect();
+        // Runs of consecutive equal delivery times: {0,1} {2} {3,4} {5,6} {7}.
+        let runs = 1 + at.windows(2).filter(|w| w[0] != w[1]).count();
+        assert_eq!(runs, 5);
+
+        sim.chaos_seed = Some(seed);
+        sim.chaos.reorder_p = p;
+        sim.chaos.reorder_jitter = jitter;
+        sim.chaos.reorder_until = now + SimDuration::from_nanos(1);
+        let mut cmds: Vec<Command> = dests
+            .iter()
+            .enumerate()
+            .map(|(i, &to)| Command::new(to, ControllerToSwitch::EchoRequest { nonce: i as u64 }))
+            .collect();
+        sim.dispatch_commands(now, &mut cmds);
+        assert!(cmds.is_empty());
+        assert_eq!(sim.chaos.delayed, 1);
+        assert_eq!(sim.events.len(), runs, "one queue event per run");
+        // The replies travel without perturbation.
+        sim.chaos.reorder_until = SimTime::ZERO;
+
+        // Deliver everything; each echo reply marks its command's delivery.
+        let (mut bursts, mut processed) = (0, 0);
+        let mut replies: Vec<(SimTime, NodeId, u64)> = Vec::new();
+        while let Some((t, ev)) = sim.events.pop() {
+            match ev {
+                Event::CtrlToSwitch { .. } => {
+                    bursts += 1;
+                    processed += ev.model_events();
+                    sim.process_event(t, ev);
+                }
+                Event::CtrlFromSwitch { from, msg } => match *msg {
+                    SwitchToController::EchoReply { nonce } => replies.push((t, from, nonce)),
+                    _ => panic!("unexpected reply"),
+                },
+                _ => panic!("unexpected event"),
+            }
+        }
+        assert_eq!(bursts, runs);
+        assert_eq!(
+            processed,
+            dests.len() as u64,
+            "events_processed counts commands"
+        );
+
+        // Each command delivered once, at its own switch and time: the reply
+        // lag behind the command's delivery time is one constant per switch.
+        let mut nonces: Vec<u64> = replies.iter().map(|r| r.2).collect();
+        nonces.sort_unstable();
+        assert_eq!(nonces, (0..dests.len() as u64).collect::<Vec<_>>());
+        for &(t, from, nonce) in &replies {
+            let i = nonce as usize;
+            assert_eq!(from, dests[i]);
+            let lag = t.duration_since(at[i]);
+            for &(t2, _, n2) in replies.iter().filter(|r| r.1 == from) {
+                assert_eq!(
+                    t2.duration_since(at[n2 as usize]),
+                    lag,
+                    "command {i} vs {n2}"
+                );
+            }
+        }
+        // Commands delivered at one instant reply in dispatch order.
+        for w in replies.windows(2) {
+            if w[0].0 == w[1].0 {
+                assert!(w[0].2 < w[1].2, "replies {:?}", replies);
+            }
+        }
+        assert!(replies.windows(2).filter(|w| w[0].0 == w[1].0).count() >= 4);
+    }
+
+    #[test]
+    fn profiled_bursts_book_each_command_under_its_own_row() {
+        let until = SimTime::from_secs(1);
+        let mut sim = Scenario::overlay_datacenter(4)
+            .with_attack(2000.0)
+            .build_until(11, until);
+        sim.enable_profiling();
+        sim.start();
+        let (mut bursts, mut flowmods, mut others) = (0u64, 0u64, 0u64);
+        while let Some((now, ev)) = sim.events.pop() {
+            if now > until {
+                break;
+            }
+            if let Event::CtrlToSwitch { burst } = &ev {
+                bursts += 1;
+                for cmd in burst.iter() {
+                    match cmd.msg {
+                        ControllerToSwitch::FlowMod { .. } => flowmods += 1,
+                        _ => others += 1,
+                    }
+                }
+            }
+            sim.process_event(now, ev);
+        }
+        assert!(flowmods > 1000 && others > 100, "{flowmods} / {others}");
+        assert!(bursts < flowmods + others, "no burst held two commands");
+        let rows = sim.profiler.as_ref().unwrap().entries();
+        let count = |name| rows.iter().find(|r| r.name == name).map_or(0, |r| r.count);
+        assert_eq!(count("ctrl_flowmod"), flowmods);
+        assert_eq!(count("ctrl_to_switch"), others);
     }
 }
