@@ -27,4 +27,4 @@ pub mod wire;
 pub use group::{Bucket, GroupEntry, GroupId, GroupTable, GroupType, SelectionPolicy};
 pub use messages::{ControllerToSwitch, FlowModCommand, PacketInReason, SwitchToController};
 pub use ofmatch::{Action, ActionList, Match};
-pub use table::{FlowEntry, FlowRule, FlowTable, Pipeline, Sampled, TableId};
+pub use table::{FlowEntry, FlowRule, FlowTable, Pipeline, RuleShape, Sampled, TableId};

@@ -294,6 +294,12 @@ impl PartialEq for ActionList {
 
 impl Eq for ActionList {}
 
+impl core::hash::Hash for ActionList {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state)
+    }
+}
+
 impl core::fmt::Debug for ActionList {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()

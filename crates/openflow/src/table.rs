@@ -113,12 +113,55 @@ impl FlowRule {
     }
 }
 
-/// One installed rule: the [`FlowRule`] plus the state the table keeps for
-/// it.
+/// What an installed rule does on a match and when it times out: the
+/// parts of a [`FlowRule`] that many rules of one table share. Scotch
+/// installs thousands of per-flow rules at a vSwitch but only a handful of
+/// distinct action lists (one per output port or tunnel), all with the
+/// same timeouts, so each [`FlowTable`] interns its shapes once and a
+/// [`FlowEntry`] row refers to its shape by id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RuleShape {
+    /// Actions applied on match (APPLY_ACTIONS).
+    pub apply: ActionList,
+    /// Table to continue matching in (GOTO_TABLE).
+    pub goto: Option<TableId>,
+    /// Idle timeout ([`NO_TIMEOUT`] = never).
+    idle_timeout: SimDuration,
+    /// Hard timeout ([`NO_TIMEOUT`] = never).
+    hard_timeout: SimDuration,
+}
+
+impl RuleShape {
+    fn of(rule: &FlowRule) -> Self {
+        RuleShape {
+            apply: rule.apply,
+            goto: rule.goto,
+            idle_timeout: rule.idle_timeout,
+            hard_timeout: rule.hard_timeout,
+        }
+    }
+
+    fn idle_timeout(&self) -> Option<SimDuration> {
+        timeout(self.idle_timeout)
+    }
+
+    fn hard_timeout(&self) -> Option<SimDuration> {
+        timeout(self.hard_timeout)
+    }
+}
+
+/// One installed rule as its table stores it: the per-rule fields of the
+/// [`FlowRule`] (match, priority, cookie) plus the counters the table keeps
+/// for it, and the id of its [`RuleShape`] in the table's dictionary.
+/// [`FlowTable::rule`] rebuilds the full rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowEntry {
-    /// The installed rule.
-    pub rule: FlowRule,
+    /// Match condition.
+    pub matcher: Match,
+    /// Priority; higher wins.
+    pub priority: u16,
+    /// Controller-chosen opaque id.
+    pub cookie: u64,
     /// Installation time.
     pub installed_at: SimTime,
     /// Last time a packet hit this entry.
@@ -127,27 +170,28 @@ pub struct FlowEntry {
     pub packet_count: u64,
     /// Bytes matched.
     pub byte_count: u64,
+    /// Index of the entry's shape in its table's dictionary.
+    shape: u32,
 }
 
 impl FlowEntry {
-    /// Earliest time this entry *could* expire given its current state
-    /// (`None` = no timeouts). A later hit pushes the idle part forward, so
-    /// this is a lower bound, never an exact prediction.
-    fn deadline(&self) -> Option<SimTime> {
-        let hard = self.rule.hard_timeout().map(|h| self.installed_at + h);
-        let idle = self.rule.idle_timeout().map(|i| self.last_hit + i);
+    /// Earliest time this entry *could* expire given its current state and
+    /// its `shape` (`None` = no timeouts). A later hit pushes the idle part
+    /// forward, so this is a lower bound, never an exact prediction.
+    fn deadline(&self, shape: &RuleShape) -> Option<SimTime> {
+        let hard = shape.hard_timeout().map(|h| self.installed_at + h);
+        let idle = shape.idle_timeout().map(|i| self.last_hit + i);
         match (hard, idle) {
             (Some(h), Some(i)) => Some(h.min(i)),
             (h, i) => h.or(i),
         }
     }
 
-    fn expired(&self, now: SimTime) -> bool {
-        self.rule
+    fn expired(&self, shape: &RuleShape, now: SimTime) -> bool {
+        shape
             .hard_timeout()
             .is_some_and(|h| now.duration_since(self.installed_at) >= h)
-            || self
-                .rule
+            || shape
                 .idle_timeout()
                 .is_some_and(|i| now.duration_since(self.last_hit) >= i)
     }
@@ -188,10 +232,23 @@ const NIL: u32 = u32::MAX;
 /// long a chain grows (exact-match rules for one host pair share a chain).
 /// Chain order is irrelevant: lookup picks the maximal priority, then the
 /// earliest install, over the whole chain.
+///
+/// Rows hold only per-rule fields; actions, goto and timeouts live in a
+/// per-table dictionary of [`RuleShape`]s, interned on insert. A chain walk
+/// reads match and priority inline and touches the dictionary only for the
+/// winning entry.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
     /// Slab of entries; `None` marks a free slot.
     slots: Vec<Option<FlowEntry>>,
+    /// The distinct rule shapes installed since the last `clear`, indexed
+    /// by [`FlowEntry`]'s shape id. Append-only: a table sees only a few
+    /// shapes, so ids are never recycled.
+    shapes: Vec<RuleShape>,
+    /// Shape → id, for interning.
+    shape_ids: FxHashMap<RuleShape, u32>,
+    /// The shape interned last: consecutive installs usually share it.
+    last_shape: u32,
     /// Install order per slot, parallel to `slots`.
     seqs: Vec<u64>,
     /// Next and previous slot in the same chain (`NIL` ends it), parallel
@@ -230,6 +287,9 @@ impl FlowTable {
         );
         FlowTable {
             slots: Vec::new(),
+            shapes: Vec::new(),
+            shape_ids: FxHashMap::default(),
+            last_shape: 0,
             seqs: Vec::new(),
             next: Vec::new(),
             prev: Vec::new(),
@@ -259,8 +319,42 @@ impl FlowTable {
         self.capacity
     }
 
+    /// Number of distinct rule shapes interned since the last `clear`.
+    pub fn shape_count(&self) -> usize {
+        self.shapes.len()
+    }
+
     fn entry(&self, slot: usize) -> &FlowEntry {
         self.slots[slot].as_ref().expect("indexed slot occupied")
+    }
+
+    /// The full rule an entry of this table was installed from (stats,
+    /// tests and diagnostics; the data path reads the shape directly).
+    pub fn rule(&self, e: &FlowEntry) -> FlowRule {
+        let s = &self.shapes[e.shape as usize];
+        FlowRule {
+            matcher: e.matcher,
+            priority: e.priority,
+            apply: s.apply,
+            goto: s.goto,
+            cookie: e.cookie,
+            idle_timeout: s.idle_timeout,
+            hard_timeout: s.hard_timeout,
+        }
+    }
+
+    /// The id of `shape` in the dictionary, adding it if new.
+    fn intern(&mut self, shape: RuleShape) -> u32 {
+        if self.shapes.get(self.last_shape as usize) == Some(&shape) {
+            return self.last_shape;
+        }
+        let shapes = &mut self.shapes;
+        let id = *self.shape_ids.entry(shape).or_insert_with(|| {
+            shapes.push(shape);
+            (shapes.len() - 1) as u32
+        });
+        self.last_shape = id;
+        id
     }
 
     /// The slots of the chain starting at `head`.
@@ -320,22 +414,26 @@ impl FlowTable {
 
     fn take_slot(&mut self, slot: usize) -> FlowEntry {
         let e = self.slots[slot].take().expect("occupied slot");
-        self.unlink(slot, &e.rule.matcher);
+        self.unlink(slot, &e.matcher);
         self.free.push(slot as u32);
         self.len -= 1;
         e
     }
 
     /// Fill `slot` with a fresh row for `rule`, zeroing its counters.
-    fn fill(&mut self, slot: usize, now: SimTime, rule: FlowRule) {
+    fn fill(&mut self, slot: usize, now: SimTime, rule: &FlowRule) {
+        let shape = RuleShape::of(rule);
         let e = FlowEntry {
-            rule,
+            matcher: rule.matcher,
+            priority: rule.priority,
+            cookie: rule.cookie,
             installed_at: now,
             last_hit: now,
             packet_count: 0,
             byte_count: 0,
+            shape: self.intern(shape),
         };
-        self.note_deadline(e.deadline());
+        self.note_deadline(e.deadline(&shape));
         self.slots[slot] = Some(e);
         if let Some(s) = self.sampled.get_mut(slot) {
             *s = Sampled::default();
@@ -347,11 +445,11 @@ impl FlowTable {
     /// table rejects.
     pub fn insert(&mut self, now: SimTime, rule: FlowRule) -> Result<(), InsertError> {
         let existing = self.chain(self.head_of(&rule.matcher)).find(|&s| {
-            let e = &self.entry(s).rule;
+            let e = self.entry(s);
             e.matcher == rule.matcher && e.priority == rule.priority
         });
         if let Some(slot) = existing {
-            self.fill(slot, now, rule);
+            self.fill(slot, now, &rule);
             return Ok(());
         }
         if self.len >= self.capacity {
@@ -367,12 +465,11 @@ impl FlowTable {
                 self.slots.len() - 1
             }
         };
-        let matcher = rule.matcher;
-        self.fill(slot, now, rule);
+        self.fill(slot, now, &rule);
         self.seqs[slot] = self.install_seq;
         self.install_seq += 1;
         self.len += 1;
-        self.link(slot, &matcher);
+        self.link(slot, &rule.matcher);
         Ok(())
     }
 
@@ -393,7 +490,7 @@ impl FlowTable {
         for slot in 0..self.slots.len() {
             if self.slots[slot]
                 .as_ref()
-                .is_some_and(|e| e.rule.cookie == cookie)
+                .is_some_and(|e| e.cookie == cookie)
             {
                 self.take_slot(slot);
                 removed += 1;
@@ -408,7 +505,7 @@ impl FlowTable {
         let mut cur = self.head_of(matcher);
         while cur != NIL {
             let after = self.next[cur as usize];
-            if self.entry(cur as usize).rule.matcher == *matcher {
+            if self.entry(cur as usize).matcher == *matcher {
                 self.take_slot(cur as usize);
                 removed += 1;
             }
@@ -422,6 +519,9 @@ impl FlowTable {
     pub fn clear(&mut self) -> usize {
         let n = self.len;
         self.slots.clear();
+        self.shapes.clear();
+        self.shape_ids.clear();
+        self.last_shape = 0;
         self.seqs.clear();
         self.next.clear();
         self.prev.clear();
@@ -449,9 +549,10 @@ impl FlowTable {
             let Some(e) = self.slots[slot].as_ref() else {
                 continue;
             };
-            if e.expired(now) {
+            let shape = &self.shapes[e.shape as usize];
+            if e.expired(shape, now) {
                 removed.push(self.take_slot(slot));
-            } else if let Some(d) = e.deadline() {
+            } else if let Some(d) = e.deadline(shape) {
                 next = Some(next.map_or(d, |n| n.min(d)));
             }
         }
@@ -470,7 +571,7 @@ impl FlowTable {
         let mut best: Option<(usize, u16)> = None;
         let indexed = self.chain(self.head((packet.key.src, packet.key.dst)));
         for i in indexed.chain(self.chain(self.generic)) {
-            let e = &self.entry(i).rule;
+            let e = self.entry(i);
             if !e.matcher.matches(packet, in_port) {
                 continue;
             }
@@ -484,12 +585,13 @@ impl FlowTable {
     }
 
     /// Best-match lookup, bumping hit counters and the idle-timeout clock.
+    /// Returns the matched entry with its shape (actions and goto).
     pub fn match_packet(
         &mut self,
         now: SimTime,
         packet: &Packet,
         in_port: PortId,
-    ) -> Option<&FlowEntry> {
+    ) -> Option<(&FlowEntry, &RuleShape)> {
         self.match_packet_sampling(now, packet, in_port, || false)
     }
 
@@ -502,7 +604,7 @@ impl FlowTable {
         packet: &Packet,
         in_port: PortId,
         pick: impl FnOnce() -> bool,
-    ) -> Option<&FlowEntry> {
+    ) -> Option<(&FlowEntry, &RuleShape)> {
         let idx = self.best_slot(packet, in_port)?;
         if pick() {
             if self.sampled.len() <= idx {
@@ -516,7 +618,7 @@ impl FlowTable {
         e.packet_count += 1;
         e.byte_count += packet.size as u64;
         e.last_hit = now;
-        Some(e)
+        Some((e, &self.shapes[e.shape as usize]))
     }
 
     /// Iterate over installed entries (stats collection).
@@ -600,10 +702,10 @@ impl Pipeline {
         actions.clear();
         let mut table = 0usize;
         let mut matched_any = false;
-        while let Some(entry) = self.tables[table].match_packet(now, packet, in_port) {
+        while let Some((_, shape)) = self.tables[table].match_packet(now, packet, in_port) {
             matched_any = true;
-            actions.extend_from_slice(&entry.rule.apply);
-            match entry.rule.goto.map(|t| t.0 as usize) {
+            actions.extend_from_slice(&shape.apply);
+            match shape.goto.map(|t| t.0 as usize) {
                 Some(t) if t > table && t < self.tables.len() => table = t,
                 _ => break,
             }
@@ -640,10 +742,10 @@ mod tests {
         )
         .unwrap();
         let hit = t.lookup(&pkt(5), PortId(0)).unwrap();
-        assert_eq!(hit.rule.priority, 10);
+        assert_eq!(hit.priority, 10);
         // Non-matching flow falls to the wildcard.
         let miss = t.lookup(&pkt(6), PortId(0)).unwrap();
-        assert_eq!(miss.rule.priority, 1);
+        assert_eq!(miss.priority, 1);
     }
 
     #[test]
@@ -659,7 +761,7 @@ mod tests {
             FlowRule::apply(Match::on_port(PortId(0)), 5, &[Action::Drop]).with_cookie(2),
         )
         .unwrap();
-        assert_eq!(t.lookup(&pkt(1), PortId(0)).unwrap().rule.cookie, 1);
+        assert_eq!(t.lookup(&pkt(1), PortId(0)).unwrap().cookie, 1);
     }
 
     #[test]
@@ -864,27 +966,33 @@ mod tests {
             if let Some(hit) = t.lookup(&packet, PortId(0)) {
                 let max = t
                     .iter()
-                    .filter(|e| e.rule.matcher.matches(&packet, PortId(0)))
-                    .map(|e| e.rule.priority)
+                    .filter(|e| e.matcher.matches(&packet, PortId(0)))
+                    .map(|e| e.priority)
                     .max()
                     .unwrap();
-                prop_assert_eq!(hit.rule.priority, max);
+                prop_assert_eq!(hit.priority, max);
             }
         }
 
         /// The indexed lookup agrees with a naive full scan on arbitrary
         /// rule sets under arbitrary churn (the index is an optimization,
         /// never a semantic change). Inserts interleave with exact removal,
-        /// removal by cookie, sampled hits and hard/idle timeout expiry;
-        /// rules spread over three `(src, dst)` keys so index chains grow
-        /// and shrink from both ends, and label rules require either no
-        /// label or a specific one. Per-entry hit and sampled counters
-        /// must follow the oracle too: a replaced entry or a reused slot
-        /// starts from zero.
+        /// removal by cookie, sampled hits, hard/idle timeout expiry and
+        /// `clear`; rules spread over three `(src, dst)` keys so index
+        /// chains grow and shrink from both ends, and label rules require
+        /// either no label or a specific one. Per-entry hit and sampled
+        /// counters must follow the oracle too: a replaced entry or a
+        /// reused slot starts from zero.
+        ///
+        /// Shapes (actions, goto, timeouts) come from a small shared pool
+        /// whose members differ in one field only, plus one-off shapes, so
+        /// the table's shape dictionary must tell every field apart: each
+        /// installed entry rebuilds exactly the rule it was installed
+        /// from, and expires on that rule's timeouts.
         #[test]
         fn prop_index_equals_full_scan(
             ops in proptest::collection::vec(
-                (0u8..10, 0u16..7, 0u16..6, 0u8..3, 0u16..3, 0u16..8),
+                (0u8..11, 0u16..7, 0u16..6, 0u8..3, 0u16..3, (0u16..8, 0u8..8)),
                 1..80,
             ),
         ) {
@@ -897,9 +1005,33 @@ mod tests {
                 }
                 p
             };
+            let secs = SimDuration::from_secs;
+            // Pool shapes 1, 3, 4 and 5 share their actions and differ
+            // only in goto or timeouts; draws past the pool are one-off.
+            let shaped = |m: Match, prio: u16, cookie: u64, pick: u8, step: u64| {
+                let out = [Action::Output(PortId(1))];
+                let r = match pick {
+                    0 => FlowRule::apply(m, prio, &[]),
+                    1 => FlowRule::apply(m, prio, &out).with_idle_timeout(secs(2)),
+                    2 => FlowRule::apply(m, prio, &[Action::push_tunnel(TunnelId(1)), out[0]])
+                        .with_hard_timeout(secs(3)),
+                    3 => FlowRule::apply(m, prio, &out)
+                        .with_idle_timeout(secs(2))
+                        .with_goto(TableId(1)),
+                    4 => FlowRule::apply(m, prio, &out)
+                        .with_idle_timeout(secs(2))
+                        .with_hard_timeout(secs(3)),
+                    5 => FlowRule::apply(m, prio, &out).with_idle_timeout(secs(4)),
+                    _ => FlowRule::apply(m, prio, &[Action::Output(PortId(100 + step as u16))])
+                        .with_idle_timeout(secs(step % 3 + 1))
+                        .with_hard_timeout(secs(step % 5 + 1)),
+                };
+                r.with_cookie(cookie)
+            };
             /// An oracle row; all times in seconds.
-            #[derive(Clone, Copy)]
+            #[derive(Clone)]
             struct Row {
+                rule: FlowRule,
                 m: Match,
                 prio: u16,
                 cookie: u64,
@@ -929,7 +1061,7 @@ mod tests {
             };
             let mut naive: Vec<Row> = Vec::new();
             let mut t = FlowTable::new(CAPACITY);
-            for (step, (op, kind, sport, host, port, prio)) in ops.iter().enumerate() {
+            for (step, (op, kind, sport, host, port, (prio, pick))) in ops.iter().enumerate() {
                 let now = step as u64;
                 let key = probe(*sport, *host, 0).key;
                 let m = match kind {
@@ -945,20 +1077,13 @@ mod tests {
                 let cookie = u64::from(*sport % 3);
                 match op {
                     0..=5 => {
-                        let (hard, idle) = match (kind + sport + prio) % 6 {
-                            0 => (None, None),
-                            h @ 1..=3 => (Some(u64::from(h)), None),
-                            i => (None, Some(u64::from(i) - 2)),
-                        };
-                        let mut r = FlowRule::apply(m, *prio, &[]).with_cookie(cookie);
-                        if let Some(h) = hard {
-                            r = r.with_hard_timeout(SimDuration::from_secs(h));
-                        }
-                        if let Some(i) = idle {
-                            r = r.with_idle_timeout(SimDuration::from_secs(i));
-                        }
-                        let got = t.insert(SimTime::from_secs(now), r);
+                        let r = shaped(m, *prio, cookie, *pick, now);
+                        let whole_secs = |d: SimDuration| d.as_nanos() / 1_000_000_000;
+                        let hard = r.hard_timeout().map(whole_secs);
+                        let idle = r.idle_timeout().map(whole_secs);
+                        let got = t.insert(SimTime::from_secs(now), r.clone());
                         let row = Row {
+                            rule: r,
                             m,
                             prio: *prio,
                             cookie,
@@ -997,7 +1122,7 @@ mod tests {
                         let pick = sport % 2 == 0;
                         let got = t
                             .match_packet_sampling(SimTime::from_secs(now), &packet, PortId(*port), || pick)
-                            .map(|e| (e.rule.matcher, e.rule.priority));
+                            .map(|(e, _)| (e.matcher, e.priority));
                         let want = winner(&naive, &packet, PortId(*port)).map(|i| {
                             let r = &mut naive[i];
                             r.last_hit = now;
@@ -1010,10 +1135,15 @@ mod tests {
                         });
                         prop_assert_eq!(got, want);
                     }
-                    _ => {
+                    9 => {
                         let before = naive.len();
                         naive.retain(|r| !r.expired(now));
                         prop_assert_eq!(t.expire(SimTime::from_secs(now)).len(), before - naive.len());
+                    }
+                    _ => {
+                        prop_assert_eq!(t.clear(), naive.len());
+                        prop_assert_eq!(t.shape_count(), 0);
+                        naive.clear();
                     }
                 }
                 prop_assert_eq!(t.len(), naive.len());
@@ -1022,8 +1152,9 @@ mod tests {
                 for r in &naive {
                     let (e, sampled) = t
                         .iter_sampled()
-                        .find(|(e, _)| e.rule.matcher == r.m && e.rule.priority == r.prio)
+                        .find(|(e, _)| e.matcher == r.m && e.priority == r.prio)
                         .expect("oracle row installed");
+                    prop_assert_eq!(&t.rule(e), &r.rule);
                     prop_assert_eq!(e.packet_count, r.packets);
                     prop_assert_eq!(sampled.packets, r.sampled);
                     prop_assert_eq!(sampled.bytes, r.sampled_bytes);
@@ -1036,7 +1167,7 @@ mod tests {
                                 let packet = probe(s, h, l);
                                 let got = t
                                     .lookup(&packet, PortId(p))
-                                    .map(|e| (e.rule.matcher, e.rule.priority, e.rule.cookie));
+                                    .map(|e| (e.matcher, e.priority, e.cookie));
                                 let want = winner(&naive, &packet, PortId(p))
                                     .map(|i| (naive[i].m, naive[i].prio, naive[i].cookie));
                                 prop_assert_eq!(got, want);
@@ -1057,7 +1188,7 @@ mod tests {
             }
             let removed = t.remove_by_cookie(3);
             prop_assert_eq!(removed, cookies.iter().filter(|&&c| c == 3).count());
-            prop_assert!(t.iter().all(|e| e.rule.cookie != 3));
+            prop_assert!(t.iter().all(|e| e.cookie != 3));
         }
     }
 }

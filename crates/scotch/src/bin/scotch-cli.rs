@@ -1836,6 +1836,9 @@ fn promote_fixture(
     body.push_str(&format!("# seed={seed}\n"));
     body.push_str(&format!("# duration_s={}\n", opts.duration));
     body.push_str(&format!("# scenario={}\n", opts.scenario));
+    if let Some(rate) = opts.attack {
+        body.push_str(&format!("# attack={rate}\n"));
+    }
     body.push_str(&format!("# controllers={}\n", opts.controllers));
     if let Some(us) = opts.sync_latency_us {
         body.push_str(&format!("# sync_latency_us={us}\n"));

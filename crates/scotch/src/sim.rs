@@ -2219,10 +2219,44 @@ mod tests {
         use std::mem::size_of;
         // Every installed rule is one table row, and every FlowMod copies
         // its rule through the command buffer, a message box and the row.
+        // A row keeps only per-rule fields; its actions, goto and timeouts
+        // are interned per table, and a slab slot costs no more than a row.
         assert!(size_of::<Match>() <= 24);
         assert!(size_of::<FlowRule>() <= 88);
-        assert!(size_of::<FlowEntry>() <= 120);
+        assert!(size_of::<FlowEntry>() <= 72);
+        assert!(size_of::<Option<FlowEntry>>() <= 72);
         assert!(size_of::<ControllerToSwitch>() <= 96);
+    }
+
+    #[test]
+    fn overlay_flood_tables_intern_few_rule_shapes() {
+        // The overlay flood installs ~94k per-flow rules, nearly all at
+        // vSwitches, yet they share a handful of shapes: one action list
+        // per output port or tunnel, one set of timeouts. The measured
+        // maximum is 9 (the physical switch's table 0); every vSwitch
+        // table holds one.
+        use scotch_openflow::TableId;
+        let horizon = SimTime::from_secs(5);
+        let mut sim = Scenario::overlay_datacenter(4)
+            .with_clients(100.0)
+            .with_attack(8_000.0)
+            .build_until(20141202, horizon);
+        sim.start();
+        while let Some((now, ev)) = sim.events.pop() {
+            if now > horizon {
+                break;
+            }
+            sim.process_event(now, ev);
+        }
+        let vswitch_tables = sim.vswitches.values().map(|v| v.table());
+        let pipelines = sim.physical.values().map(|p| p.pipeline());
+        let physical_tables =
+            pipelines.flat_map(|p| (0..p.table_count()).map(|t| p.table(TableId(t as u8))));
+        let tables: Vec<_> = vswitch_tables.chain(physical_tables).collect();
+        let rules: usize = tables.iter().map(|t| t.len()).sum();
+        assert!(rules > 80_000, "only {rules} rules installed");
+        let most = tables.iter().map(|t| t.shape_count()).max().unwrap();
+        assert!(most <= 16, "a table interned {most} rule shapes");
     }
 
     #[test]

@@ -294,6 +294,9 @@ impl SloTable {
                     .parse()
                     .map_err(|e| err(format!("bad bound '{}': {e}", fields[3])))?
             };
+            if !threshold.is_finite() {
+                return Err(err(format!("bound '{}' is not finite", fields[3])));
+            }
             rules.push(SloRule {
                 scenario: fields[0].to_string(),
                 metric,
@@ -550,5 +553,77 @@ single setup_p50 <= 1500us
             .unwrap()
             .check("x", &d);
         assert_eq!(cancelled.exit_code(), 1); // 1/3 cancelled
+    }
+
+    /// Fragments of SLO table lines, valid and not, for the never-panic
+    /// fuzzer, one list per column: scenario, metric, operator, bound.
+    const SLO_COLUMNS: [&[&str]; 4] = [
+        &["*", "datacenter", "#", "é"],
+        &[
+            "setup_p50",
+            "setup_p99",
+            "stage.install_p95",
+            "stage.ofa_queue_p99",
+            "delivered_fraction",
+            "cancelled_fraction",
+            "stage._p50",
+            "stage.bogus_p95",
+            "setup_p",
+        ],
+        &["<=", ">=", "<", "=="],
+        &[
+            "10ms", "1500us", "7ns", "2s", "0.25", "-1s", "NaN", "NaNms", "inf", "1e400ms", "ms",
+            "s",
+        ],
+    ];
+    const SLO_ENDINGS: &[&str] = &["\n", "\n", "\r\n", " ", ""];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 2048,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// Random token streams never panic the parser: each parses to an
+        /// error or to a valid table (finite bounds) whose rendering parses
+        /// back to a table that renders the same. Lines mostly follow the
+        /// `scenario metric op bound` shape so that valid tables occur;
+        /// the rest append tokens from any column or consist of them.
+        #[test]
+        fn prop_slo_parse_never_panics(
+            lines in proptest::collection::vec(
+                (
+                    (0usize..16, 0usize..16, 0usize..16, 0usize..16),
+                    proptest::collection::vec((0usize..4, 0usize..16), 0..2),
+                    0u8..3,
+                    0usize..SLO_ENDINGS.len(),
+                ),
+                0..4,
+            ),
+        ) {
+            let word = |column: usize, i: usize| {
+                let words = SLO_COLUMNS[column];
+                words[i % words.len()]
+            };
+            let mut text = String::new();
+            for ((scenario, metric, op, bound), extra, shape, end) in &lines {
+                let mut words = vec![word(0, *scenario), word(1, *metric), word(2, *op), word(3, *bound)];
+                let extra = extra.iter().map(|&(c, i)| word(c, i));
+                match shape {
+                    0 => words.extend(extra),
+                    1 => words = extra.collect(),
+                    _ => {}
+                }
+                text.push_str(&words.join(" "));
+                text.push_str(SLO_ENDINGS[*end]);
+            }
+            if let Ok(table) = SloTable::parse(&text) {
+                proptest::prop_assert!(table.rules.iter().all(|r| r.threshold.is_finite()));
+                let rendered = table.render();
+                let again = SloTable::parse(&rendered);
+                proptest::prop_assert!(again.is_ok(), "{rendered:?}: {again:?}");
+                proptest::prop_assert_eq!(again.unwrap().render(), rendered);
+            }
+        }
     }
 }

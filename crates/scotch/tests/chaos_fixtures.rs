@@ -2,7 +2,8 @@
 //! committed under `tests/fixtures/`. A fixture is a minimal failing plan
 //! plus a comment header recording how to reproduce it; the regression
 //! contract is that the replay still produces exactly the recorded
-//! invariant violations, bit-identically.
+//! invariant violations, bit-identically. A fixture whose fault has been
+//! mended records `violations: none`: its replay must stay clean.
 
 use std::collections::BTreeSet;
 
@@ -18,11 +19,13 @@ struct Header {
     seed: u64,
     duration_s: f64,
     scenario: String,
+    attack: Option<f64>,
     controllers: u32,
     sync_latency_us: Option<u64>,
     failover_bound_s: Option<f64>,
     max_undeliverable: u64,
-    violations: BTreeSet<String>,
+    /// `None` when the header has no `violations:` line.
+    violations: Option<BTreeSet<String>>,
 }
 
 fn parse_header(text: &str) -> Header {
@@ -30,21 +33,28 @@ fn parse_header(text: &str) -> Header {
         seed: 1,
         duration_s: 10.0,
         scenario: "datacenter".into(),
+        attack: None,
         controllers: 1,
         sync_latency_us: None,
         failover_bound_s: None,
         max_undeliverable: 0,
-        violations: BTreeSet::new(),
+        violations: None,
     };
     for line in text.lines().take_while(|l| l.starts_with('#')) {
         let line = line.trim_start_matches('#').trim();
         if let Some(rest) = line.strip_prefix("violations:") {
-            h.violations = rest.split_whitespace().map(String::from).collect();
+            h.violations = Some(
+                rest.split_whitespace()
+                    .filter(|&v| v != "none")
+                    .map(String::from)
+                    .collect(),
+            );
         } else if let Some((k, v)) = line.split_once('=') {
             match k {
                 "seed" => h.seed = v.parse().unwrap(),
                 "duration_s" => h.duration_s = v.parse().unwrap(),
                 "scenario" => h.scenario = v.into(),
+                "attack" => h.attack = Some(v.parse().unwrap()),
                 "controllers" => h.controllers = v.parse().unwrap(),
                 "sync_latency_us" => h.sync_latency_us = Some(v.parse().unwrap()),
                 "failover_bound_s" => h.failover_bound_s = Some(v.parse().unwrap()),
@@ -64,6 +74,9 @@ fn build(h: &Header) -> Scenario {
         "multirack" => Scenario::multirack(3, 1),
         _ => Scenario::overlay_datacenter(4).with_servers(2),
     };
+    if let Some(rate) = h.attack {
+        s = s.with_attack(rate);
+    }
     s = s.with_clients(100.0);
     if h.controllers > 1 {
         s = s.with_controllers(h.controllers);
@@ -90,11 +103,12 @@ fn promoted_fixtures_still_reproduce_their_violations() {
     for path in entries {
         let text = std::fs::read_to_string(&path).unwrap();
         let h = parse_header(&text);
-        assert!(
-            !h.violations.is_empty(),
-            "{}: fixture header records no violations",
-            path.display()
-        );
+        let want = h.violations.clone().unwrap_or_else(|| {
+            panic!(
+                "{}: fixture header has no `violations:` line",
+                path.display()
+            )
+        });
         let plan =
             FaultPlan::parse(&text).unwrap_or_else(|e| panic!("{}: bad plan: {e}", path.display()));
         let mut cfg = ChaosConfig::for_scotch(&ScotchConfig::default());
@@ -112,7 +126,7 @@ fn promoted_fixtures_still_reproduce_their_violations() {
             .collect();
         assert_eq!(
             got,
-            h.violations,
+            want,
             "{}: replay produced different violations:\n{}",
             path.display(),
             chaos::render_violations(&outcome.violations)

@@ -649,4 +649,122 @@ mod tests {
             assert_eq!(FAULT_KIND_NAMES[e.kind.index()], e.kind.name());
         }
     }
+
+    /// Fragments of plan lines, valid and not, for the never-panic fuzzer:
+    /// timestamps, kinds, `key=value` fields and line endings.
+    const TIMES: &[&str] = &[
+        "1000",
+        "0",
+        "250000000",
+        "18446744073709551615",
+        "7",
+        "42",
+        "-5",
+        "18446744073709551616",
+        "#",
+    ];
+    const KINDS: &[&str] = &[
+        "vswitch_crash",
+        "link_down",
+        "link_flap",
+        "link_degrade",
+        "ctrl_loss",
+        "ctrl_dup",
+        "ctrl_reorder",
+        "ofa_slowdown",
+        "controller_stall",
+        "replica_crash",
+        "ctrl_partition",
+        "bogus_kind",
+        "",
+    ];
+    const FIELDS: &[&str] = &[
+        "target=1",
+        "target=4294967296",
+        "target=-1",
+        "duration_ns=500",
+        "duration_ns=",
+        "restart_after_ns=7",
+        "cycles=2",
+        "period_ns=100",
+        "extra_ns=9",
+        "jitter_ns=3",
+        "p=0.5",
+        "p=1.5",
+        "p=NaN",
+        "p=-0",
+        "factor=2",
+        "factor=0",
+        "factor=inf",
+        "factor=NaN",
+        "factor=1e400",
+        "=",
+        "key",
+        "é=",
+        "#",
+    ];
+    /// Every field any kind requires, valid. Fields drawn before it win
+    /// (the first occurrence of a key counts), so a line that ends with it
+    /// usually parses unless a drawn field spoils it.
+    const ALL_FIELDS: &str = "target=1 duration_ns=500 restart_after_ns=7 cycles=2 \
+        period_ns=100 extra_ns=9 jitter_ns=3 p=0.5 factor=2";
+    const ENDINGS: &[&str] = &["\n", "\n", "\n", "\r\n", " ", ""];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 2048,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// Random token streams never panic the parser: each parses to an
+        /// error or to a valid plan (probabilities in [0, 1], finite
+        /// positive factors, sorted) whose rendering parses back to the
+        /// same plan.
+        #[test]
+        fn prop_parse_never_panics(
+            lines in proptest::collection::vec(
+                (
+                    0usize..TIMES.len(),
+                    0usize..KINDS.len(),
+                    proptest::collection::vec(0usize..FIELDS.len(), 0..3),
+                    0u8..4,
+                    0usize..ENDINGS.len(),
+                ),
+                0..4,
+            ),
+        ) {
+            let mut text = String::new();
+            for (t, k, fields, complete, end) in &lines {
+                text.push_str(TIMES[*t]);
+                text.push(' ');
+                text.push_str(KINDS[*k]);
+                for f in fields {
+                    text.push(' ');
+                    text.push_str(FIELDS[*f]);
+                }
+                if *complete > 0 {
+                    text.push(' ');
+                    text.push_str(ALL_FIELDS);
+                }
+                text.push_str(ENDINGS[*end]);
+            }
+            if let Ok(plan) = FaultPlan::parse(&text) {
+                proptest::prop_assert!(plan.events.windows(2).all(|w| w[0].at <= w[1].at));
+                for e in &plan.events {
+                    match e.kind {
+                        FaultKind::CtrlLoss { p, .. }
+                        | FaultKind::CtrlDup { p, .. }
+                        | FaultKind::CtrlReorder { p, .. } => {
+                            proptest::prop_assert!((0.0..=1.0).contains(&p), "p={p}");
+                        }
+                        FaultKind::OfaSlowdown { factor, .. } => {
+                            proptest::prop_assert!(factor > 0.0 && factor.is_finite());
+                        }
+                        _ => {}
+                    }
+                }
+                proptest::prop_assert_eq!(FaultPlan::parse(&plan.render()), Ok(plan));
+            }
+        }
+    }
 }

@@ -52,7 +52,8 @@ pub enum DropReason {
     DataPlaneOverload,
     /// A rule said to drop.
     Policy,
-    /// No route for the packet (e.g. select group with all buckets dead).
+    /// No route for the packet (e.g. select group with all buckets dead,
+    /// or a pipeline that ends with no output).
     NoRoute,
 }
 

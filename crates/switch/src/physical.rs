@@ -29,7 +29,8 @@ pub struct SwitchStats {
     pub dropped_interaction: u64,
     /// Table-miss packets lost in the OFA.
     pub dropped_ofa: u64,
-    /// Packets dropped by policy or dead groups.
+    /// Packets dropped by policy, dead groups or an action set with no
+    /// output.
     pub dropped_other: u64,
 }
 
@@ -173,7 +174,17 @@ impl PhysicalSwitch {
             .pipeline
             .process_into(now, &packet, in_port, &mut actions);
         if matched {
-            self.execute_actions(now, in_port, packet, &actions, 0, out);
+            if !self.execute_actions(now, in_port, packet, &actions, 0, out) {
+                // OpenFlow drops a packet whose action set has no output
+                // or group: e.g. table 0 labelled it and sent it on to a
+                // table with no matching entry, such as a lost overlay
+                // default rule. Count it, or the loss is silent.
+                self.stats.dropped_other += 1;
+                out.push(Output::Dropped {
+                    reason: DropReason::NoRoute,
+                    packet,
+                });
+            }
         } else {
             self.punt_to_controller(now, in_port, packet, out);
         }
@@ -208,6 +219,8 @@ impl PhysicalSwitch {
         }
     }
 
+    /// Apply `actions` to `packet`; returns whether the packet left: was
+    /// forwarded, punted or dropped.
     fn execute_actions(
         &mut self,
         now: SimTime,
@@ -216,11 +229,13 @@ impl PhysicalSwitch {
         actions: &[Action],
         depth: u8,
         out: &mut Vec<Output>,
-    ) {
+    ) -> bool {
         let mut pkt = packet;
+        let mut left = false;
         for action in actions {
             match action {
                 Action::Output(p) => {
+                    left = true;
                     self.stats.forwarded += 1;
                     out.push(Output::Forward {
                         out_port: *p,
@@ -228,6 +243,7 @@ impl PhysicalSwitch {
                     });
                 }
                 Action::ToController => {
+                    left = true;
                     self.punt_to_controller(now, in_port, pkt, out);
                 }
                 Action::PushLabel(l) => pkt.push_label(*l),
@@ -240,7 +256,7 @@ impl PhysicalSwitch {
                         reason: DropReason::Policy,
                         packet: pkt,
                     });
-                    return;
+                    return true;
                 }
                 Action::Group(g) => {
                     // One level of group indirection (OpenFlow forbids
@@ -257,8 +273,9 @@ impl PhysicalSwitch {
                             None => false,
                         };
                         if found {
-                            self.execute_actions(now, in_port, pkt, &acts, 1, out);
+                            left |= self.execute_actions(now, in_port, pkt, &acts, 1, out);
                         } else {
+                            left = true;
                             self.stats.dropped_other += 1;
                             out.push(Output::Dropped {
                                 reason: DropReason::NoRoute,
@@ -270,6 +287,7 @@ impl PhysicalSwitch {
                 }
             }
         }
+        left
     }
 
     /// Process a controller message arriving over the control channel,
@@ -303,14 +321,14 @@ impl PhysicalSwitch {
                 out.push(Output::Forward { out_port, packet });
             }
             ControllerToSwitch::FlowStatsRequest => {
-                let mut stats = Vec::new();
+                let mut stats = Vec::with_capacity(self.pipeline.total_entries());
                 for t in 0..self.pipeline.table_count() {
                     let tid = TableId(t as u8);
                     for e in self.pipeline.table(tid).iter() {
                         stats.push(FlowStat {
                             table: tid,
-                            matcher: e.rule.matcher,
-                            cookie: e.rule.cookie,
+                            matcher: e.matcher,
+                            cookie: e.cookie,
                             packet_count: e.packet_count,
                             byte_count: e.byte_count,
                             duration: now.duration_since(e.installed_at),
@@ -375,8 +393,8 @@ impl PhysicalSwitch {
                 at: now + SimDuration::from_millis(1),
                 msg: SwitchToController::FlowRemoved {
                     table,
-                    matcher: e.rule.matcher,
-                    cookie: e.rule.cookie,
+                    matcher: e.matcher,
+                    cookie: e.cookie,
                     packet_count: e.packet_count,
                     byte_count: e.byte_count,
                 },

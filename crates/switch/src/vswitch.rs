@@ -241,8 +241,8 @@ impl VSwitch {
             .table
             .match_packet_sampling(now, &packet, in_port, pick)
         {
-            Some(entry) => {
-                actions.extend_from_slice(&entry.rule.apply);
+            Some((_, shape)) => {
+                actions.extend_from_slice(&shape.apply);
                 true
             }
             None => false,
@@ -401,19 +401,18 @@ impl VSwitch {
                 out.push(Output::Forward { out_port, packet });
             }
             ControllerToSwitch::FlowStatsRequest => {
-                let stats: Vec<FlowStat> = match &self.sampler {
-                    None => self
-                        .table
-                        .iter()
-                        .map(|e| FlowStat {
-                            table: TableId(0),
-                            matcher: e.rule.matcher,
-                            cookie: e.rule.cookie,
-                            packet_count: e.packet_count,
-                            byte_count: e.byte_count,
-                            duration: now.duration_since(e.installed_at),
-                        })
-                        .collect(),
+                // The table's length bounds the reply (exactly, when
+                // exhaustive): reserve it once instead of regrowing.
+                let mut stats = Vec::with_capacity(self.table.len());
+                match &self.sampler {
+                    None => stats.extend(self.table.iter().map(|e| FlowStat {
+                        table: TableId(0),
+                        matcher: e.matcher,
+                        cookie: e.cookie,
+                        packet_count: e.packet_count,
+                        byte_count: e.byte_count,
+                        duration: now.duration_since(e.installed_at),
+                    })),
                     Some(s) => {
                         // Sampled export: only flows with sampled traffic,
                         // and never the cookie-0 infrastructure rules
@@ -427,27 +426,28 @@ impl VSwitch {
                         let all = s.rate() >= 1.0;
                         let scale = 1.0 / s.rate();
                         let acc = &mut self.stats;
-                        self.table
-                            .iter_sampled()
-                            .filter(|(e, s)| e.rule.cookie != 0 && (all || s.packets > 0))
-                            .map(|(e, s)| {
-                                acc.sampled_exported += 1;
-                                let est = s.packets as f64 * scale;
-                                let truth = e.packet_count as f64;
-                                acc.est_error_ppm +=
-                                    ((est - truth).abs() / truth.max(1.0) * 1e6) as u64;
-                                FlowStat {
-                                    table: TableId(0),
-                                    matcher: e.rule.matcher,
-                                    cookie: e.rule.cookie,
-                                    packet_count: s.packets,
-                                    byte_count: s.bytes,
-                                    duration: now.duration_since(e.installed_at),
-                                }
-                            })
-                            .collect()
+                        stats.extend(
+                            self.table
+                                .iter_sampled()
+                                .filter(|(e, s)| e.cookie != 0 && (all || s.packets > 0))
+                                .map(|(e, s)| {
+                                    acc.sampled_exported += 1;
+                                    let est = s.packets as f64 * scale;
+                                    let truth = e.packet_count as f64;
+                                    acc.est_error_ppm +=
+                                        ((est - truth).abs() / truth.max(1.0) * 1e6) as u64;
+                                    FlowStat {
+                                        table: TableId(0),
+                                        matcher: e.matcher,
+                                        cookie: e.cookie,
+                                        packet_count: s.packets,
+                                        byte_count: s.bytes,
+                                        duration: now.duration_since(e.installed_at),
+                                    }
+                                }),
+                        );
                     }
-                };
+                }
                 out.push(Output::ToController {
                     at: now + SimDuration::from_micros(500),
                     msg: SwitchToController::FlowStatsReply { stats },
@@ -473,8 +473,8 @@ impl VSwitch {
                 at: now + SimDuration::from_micros(500),
                 msg: SwitchToController::FlowRemoved {
                     table: TableId(0),
-                    matcher: e.rule.matcher,
-                    cookie: e.rule.cookie,
+                    matcher: e.matcher,
+                    cookie: e.cookie,
                     packet_count: e.packet_count,
                     byte_count: e.byte_count,
                 },
