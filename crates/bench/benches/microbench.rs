@@ -176,23 +176,6 @@ fn bench_rng(filter: &Option<String>) {
     });
 }
 
-fn bench_wire_codec(filter: &Option<String>) {
-    use scotch_openflow::wire::{decode_message, encode_message, OfMessage};
-    use scotch_openflow::{ControllerToSwitch, FlowModCommand, FlowRule};
-    let entry = FlowRule::apply(Match::exact(key(7)), 100, &[Action::Output(PortId(3))]);
-    let msg = OfMessage::ToSwitch(ControllerToSwitch::FlowMod {
-        table: TableId(0),
-        command: FlowModCommand::Add(entry),
-    });
-    let bytes = encode_message(&msg, 1).unwrap();
-    bench(filter, "wire_encode_flow_mod", || {
-        encode_message(black_box(&msg), 1).unwrap()
-    });
-    bench(filter, "wire_decode_flow_mod", || {
-        decode_message(black_box(&bytes)).unwrap()
-    });
-}
-
 fn bench_end_to_end(filter: &Option<String>) {
     // One simulated second of the full Scotch data-center scenario under
     // a 2000 flows/s flood: the throughput figure of the whole engine.
@@ -223,6 +206,5 @@ fn main() {
     bench_event_queue(&filter);
     bench_fifo_server(&filter);
     bench_rng(&filter);
-    bench_wire_codec(&filter);
     bench_end_to_end(&filter);
 }

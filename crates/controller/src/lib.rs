@@ -17,9 +17,8 @@
 //! * [`cluster::ClusterState`] — controller-cluster mastership: N
 //!   replicas, per-switch masters and standbys, deterministic failover
 //!   with parked-message migration (DESIGN.md §16);
-//! * [`baseline::BaselineController`] — a plain reactive controller
-//!   (shortest path, rule install along path, PacketOut), the non-Scotch
-//!   behaviour measured in Figs. 3, 4, 9, 10.
+//! * [`baseline::plan_flow_rules`] — per-flow rule planning along a
+//!   physical path, shared by admission and migration.
 //!
 //! The controller itself is deliberately *not* rate-limited: "a single
 //! node multi-threaded controller can handle millions of Packet-In/sec"
@@ -33,7 +32,6 @@ pub mod flowdb;
 pub mod monitor;
 
 pub use addressbook::AddressBook;
-pub use baseline::{BaselineConfig, BaselineController};
 pub use cluster::{ClusterConfig, ClusterState, MasterView, NO_REPLICA};
 pub use flowdb::{FlowInfo, FlowInfoDatabase};
 pub use monitor::{HeartbeatTracker, PacketInMonitor};

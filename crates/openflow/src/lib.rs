@@ -7,6 +7,8 @@
 //! architecture, not a codec — but the *semantics* the design depends on
 //! are all here:
 //!
+//! * [`ofmatch`]: packed flow [`Match`]es (in-port, addresses, protocol,
+//!   ports, top label) and inline [`ActionList`]s;
 //! * priority-ordered [`table::FlowTable`]s with idle/hard timeouts, bounded
 //!   capacity (the TCAM limit of §3.3) and match counters;
 //! * a multi-table pipeline ([`table::Pipeline`]): Scotch needs two tables
@@ -22,7 +24,6 @@ pub mod group;
 pub mod messages;
 pub mod ofmatch;
 pub mod table;
-pub mod wire;
 
 pub use group::{Bucket, GroupEntry, GroupId, GroupTable, GroupType, SelectionPolicy};
 pub use messages::{ControllerToSwitch, FlowModCommand, PacketInReason, SwitchToController};

@@ -409,11 +409,6 @@ impl ScotchApp {
             .sum()
     }
 
-    /// Scheduler statistics at a switch.
-    pub fn scheduler_stats(&self, switch: NodeId) -> Option<crate::queues::SchedulerStats> {
-        self.switches.get(&switch).map(|s| s.scheduler.stats())
-    }
-
     fn next_cookie(&mut self, key: FlowKey) -> u64 {
         self.cookie_keys.push(key);
         self.cookie_keys.len() as u64
@@ -749,25 +744,6 @@ impl ScotchApp {
             } else {
                 // vSwitches / host vSwitches have ample budget.
                 out.push(cmd);
-            }
-        }
-        if self.config.install_reverse {
-            let mut rev = path.clone();
-            rev.reverse();
-            for cmd in plan_flow_rules(
-                topo,
-                &rev,
-                self.flow_matcher(&pf.key.reversed()),
-                cookie,
-                self.config.rule_idle_timeout,
-            ) {
-                if cmd.to == pf.origin || self.mode == ControllerMode::Baseline {
-                    out.push(cmd);
-                } else if let Some(ctl) = self.switches.get_mut(&cmd.to) {
-                    ctl.scheduler.push_admitted(cmd);
-                } else {
-                    out.push(cmd);
-                }
             }
         }
 
@@ -1699,13 +1675,69 @@ mod tests {
     #[test]
     fn baseline_mode_admits_immediately() {
         let mut f = fixture(ControllerMode::Baseline);
-        let cmds = f.handle(SimTime::ZERO, f.ps, packet_in(key(1, f.server_ip), 1));
-        // FlowMods along ps -> hostvsw + PacketOut.
-        assert!(cmds.len() >= 2, "{cmds:?}");
-        assert!(cmds
-            .iter()
-            .any(|c| matches!(c.msg, ControllerToSwitch::PacketOut { .. })));
+        let k = key(1, f.server_ip);
+        let cmds = f.handle(SimTime::ZERO, f.ps, packet_in(k, 1));
         assert_eq!(f.app.stats().physical_admitted, 1);
+        // client -> ps -> hostvsw0 -> server: one FlowMod per path switch,
+        // each on the src/dst match with the 10 s idle timeout, output
+        // toward the next hop.
+        let named = |kind, name| {
+            f.topo
+                .nodes_of_kind(kind)
+                .into_iter()
+                .find(|n| f.topo.name(*n) == name)
+                .unwrap()
+        };
+        let hostvsw = named(NodeKind::VSwitch, "hostvsw0");
+        let server = named(NodeKind::Host, "server");
+        let rules: Vec<(NodeId, &FlowRule)> = cmds
+            .iter()
+            .filter_map(|c| match &c.msg {
+                ControllerToSwitch::FlowMod {
+                    table: TableId(0),
+                    command: FlowModCommand::Add(rule),
+                } => Some((c.to, rule)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rules.len(), 2, "{cmds:?}");
+        for ((to, rule), next) in rules.iter().zip([hostvsw, server]) {
+            assert_eq!(rule.matcher, Match::src_dst(k.src, k.dst));
+            assert_eq!(rule.idle_timeout(), Some(SimDuration::from_secs(10)));
+            assert_eq!(
+                rule.first_output(),
+                Some(Action::Output(f.topo.port_towards(*to, next).unwrap()))
+            );
+        }
+        assert_eq!((rules[0].0, rules[1].0), (f.ps, hostvsw));
+        // The PacketOut returns the first packet at the punting switch,
+        // out the port toward the next hop.
+        let packet_outs: Vec<_> = cmds
+            .iter()
+            .filter_map(|c| match c.msg {
+                ControllerToSwitch::PacketOut { out_port, .. } => Some((c.to, out_port)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            packet_outs,
+            [(f.ps, f.topo.port_towards(f.ps, hostvsw).unwrap())]
+        );
+        // A second flow gets its own cookie.
+        let cookie = |cmds: &[Command]| {
+            cmds.iter().find_map(|c| match &c.msg {
+                ControllerToSwitch::FlowMod {
+                    command: FlowModCommand::Add(rule),
+                    ..
+                } => Some(rule.cookie),
+                _ => None,
+            })
+        };
+        let second = f.handle(SimTime::ZERO, f.ps, packet_in(key(2, f.server_ip), 1));
+        assert!(cookie(&cmds).is_some());
+        assert_ne!(cookie(&cmds), cookie(&second));
+        // The monitor saw both Packet-Ins.
+        assert_eq!(f.app.monitor.total(f.ps), 2);
     }
 
     #[test]

@@ -66,6 +66,7 @@
 //!
 //! Trace (flight-recorder dump of one run; accepts every top-level
 //! scenario/workload/control option above, plus):
+//! ```text
 //!   --out <FILE>        write JSONL here instead of stdout
 //!   --filter <CATS>     comma-separated categories to keep
 //!                       (overlay,queue,flow,rule,packet_in,group,health)
@@ -74,9 +75,11 @@
 //!   --capacity <N>      trace ring capacity in records   (default: 65536)
 //!   --limit <N>         emit only the first N records     (default: all)
 //!   --summary           print per-category/per-kind counts to stderr
+//! ```
 //!
 //! Explain (causal journey timelines with latency decomposition; accepts
 //! every top-level scenario/workload/control option above, plus):
+//! ```text
 //!   --rate <P>          journey sampling rate in (0, 1]  (default: 1/64)
 //!   --journey <ID>      always trace this flow id (decimal or 0x hex) and
 //!                       print its timeline; repeatable
@@ -86,11 +89,13 @@
 //!   --export <FILE>     write the canonical journey-mark stream as JSONL
 //!   --slo               check the built-in SLO table; exit 1 on violation
 //!   --slo-table <FILE>  check a table file instead (see scotch::slo)
+//! ```
 //!
 //! `explain` output is a pure function of `(scenario, seed, rate)`:
 //! journey selection is a stateless hash of the flow id.
 //!
 //! Bench (single-process hot-path throughput on a fixed scenario set):
+//! ```text
 //!   --out <FILE>        where to write the fresh numbers
 //!                       (default: BENCH_hotpath.fresh.json)
 //!   --baseline <FILE>   committed BENCH_hotpath.json to diff against
@@ -110,9 +115,11 @@
 //!                       vs the baseline (soft perf gate; without this
 //!                       flag regressions only warn)
 //!   --quiet             suppress per-scenario progress lines
+//! ```
 //!
 //! Chaos (deterministic fault injection + invariant checking; accepts the
 //! top-level scenario/workload/control options above, plus):
+//! ```text
 //!   --plan <FILE>       run a pinned fault-plan file instead of generating
 //!   --events <N>        faults per generated plan        (default: 12)
 //!   --search <N>        try N consecutive seeds, stop at the first plan
@@ -129,6 +136,7 @@
 //!   --promote <NAME>    commit the failing plan (shrunk, in `--search`
 //!                       mode) as a regression fixture at
 //!                       `crates/scotch/tests/fixtures/<NAME>.plan`
+//! ```
 //!
 //! `chaos` exits 0 on a clean run, 1 when an invariant was violated
 //! (or `--search` found a failing plan), 2 on usage errors.

@@ -145,9 +145,6 @@ pub struct ScotchConfig {
     pub heartbeat_miss_limit: u32,
     /// Controller tick granularity (queue service, monitoring checks).
     pub tick_interval: SimDuration,
-    /// Install reverse-direction rules at admission (needed for
-    /// request/response workloads).
-    pub install_reverse: bool,
     /// TableFull-error rate (per switch, errors/s) that also activates the
     /// overlay — the §3.3 TCAM-exhaustion trigger.
     pub tcam_activation_threshold: f64,
@@ -196,7 +193,6 @@ impl Default for ScotchConfig {
             heartbeat_period: SimDuration::from_secs(1),
             heartbeat_miss_limit: 3,
             tick_interval: SimDuration::from_millis(10),
-            install_reverse: false,
             tcam_activation_threshold: 10.0,
             controller_capacity: None,
             telemetry: TelemetryConfig::Exhaustive,

@@ -1,9 +1,21 @@
 //! libpcap captures of simulated traffic.
 //!
 //! smoltcp-style debugging parity: any node can be tapped and every packet
-//! arriving there is appended — serialized with the real OpenFlow-adjacent
-//! wire encoding from [`scotch_openflow::wire`] — to a standard libpcap
+//! arriving there is appended, as an Ethernet frame, to a standard libpcap
 //! byte stream that Wireshark/tcpdump open directly.
+//!
+//! ## Frame format
+//!
+//! Each packet becomes an Ethernet header (zero MACs), an MPLS shim per
+//! label when the packet carries any (top of stack first, ethertype
+//! `0x8847`), a 20-byte IPv4 header and a 20-byte TCP-shaped L4 header
+//! (UDP and ICMP use the same layout). Simulation-only metadata
+//! (`flow_id`, `born_at`, `is_attack`) is not written. A [`Label`] maps
+//! onto the 20-bit MPLS label space: bit 19 marks a tunnel label (ids
+//! below 2^19), otherwise the value is an ingress port. The IPv4
+//! identification field carries the low 16 bits of the sequence number,
+//! the TCP sequence field all 32, and the TCP flags tell a flow's first
+//! packet (SYN) from data (ACK).
 //!
 //! ```no_run
 //! use scotch::scenario::Scenario;
@@ -16,8 +28,7 @@
 //! std::fs::write("server.pcap", report.captures[&server].bytes()).unwrap();
 //! ```
 
-use scotch_net::Packet;
-use scotch_openflow::wire::encode_packet;
+use scotch_net::{Label, Packet, PacketKind, TunnelId};
 use scotch_sim::SimTime;
 
 /// libpcap little-endian magic.
@@ -54,11 +65,11 @@ impl PcapCapture {
 
     /// Append one packet observed at `at`.
     ///
-    /// Packets our wire codec cannot represent (e.g. out-of-range tunnel
-    /// labels) are skipped — captures are diagnostics, not ground truth
-    /// for accounting.
+    /// Packets the frame format cannot represent (tunnel ids of 2^19 and
+    /// above) are skipped — captures are diagnostics, not ground truth for
+    /// accounting.
     pub fn record(&mut self, at: SimTime, packet: &Packet) {
-        let Ok(data) = encode_packet(packet) else {
+        let Some(data) = encode_packet(packet) else {
             return;
         };
         let nanos = at.as_nanos();
@@ -86,10 +97,156 @@ impl PcapCapture {
     }
 }
 
+const ETH_TYPE_IPV4: u16 = 0x0800;
+const ETH_TYPE_MPLS: u16 = 0x8847;
+/// Bit 19 of a 20-bit MPLS label marks a tunnel label.
+const MPLS_TUNNEL_BIT: u32 = 1 << 19;
+
+/// The 20-bit MPLS label of `l`, or `None` for a tunnel id of 2^19 and
+/// above.
+fn label_to_mpls(l: Label) -> Option<u32> {
+    match l {
+        Label::Tunnel(TunnelId(t)) => (t < MPLS_TUNNEL_BIT).then_some(MPLS_TUNNEL_BIT | t),
+        Label::IngressPort(p) => Some(u32::from(p)),
+    }
+}
+
+/// Serialize a simulated packet as an Ethernet frame (see the module docs
+/// for the layout), or `None` if one of its labels has no MPLS value.
+fn encode_packet(p: &Packet) -> Option<Vec<u8>> {
+    let mut w = Vec::with_capacity(64);
+    // Ethernet: zero MACs; ethertype depends on label stack.
+    w.extend_from_slice(&[0; 12]);
+    if p.labels.is_empty() {
+        w.extend_from_slice(&ETH_TYPE_IPV4.to_be_bytes());
+    } else {
+        w.extend_from_slice(&ETH_TYPE_MPLS.to_be_bytes());
+        // Top of stack first on the wire.
+        for (i, l) in p.labels.iter().rev().enumerate() {
+            let v = label_to_mpls(l)?;
+            let bottom = (i == p.labels.len() - 1) as u32;
+            w.extend_from_slice(&((v << 12) | (bottom << 8) | 64).to_be_bytes());
+        }
+    }
+    // IPv4 header (20 bytes, no options).
+    w.extend_from_slice(&[0x45, 0]);
+    w.extend_from_slice(&40u16.to_be_bytes()); // total length: IPv4 + L4 headers
+    w.extend_from_slice(&(p.seq as u16).to_be_bytes()); // identification
+    w.extend_from_slice(&[0, 0]); // flags, fragment offset
+    w.extend_from_slice(&[64, p.key.proto.number()]); // ttl, protocol
+    w.extend_from_slice(&[0, 0]); // checksum (not computed in the simulator)
+    w.extend_from_slice(&p.key.src.0.to_be_bytes());
+    w.extend_from_slice(&p.key.dst.0.to_be_bytes());
+    // TCP-shaped L4 header (UDP uses the same 20-byte layout, padded).
+    w.extend_from_slice(&p.key.sport.to_be_bytes());
+    w.extend_from_slice(&p.key.dport.to_be_bytes());
+    w.extend_from_slice(&p.seq.to_be_bytes());
+    w.extend_from_slice(&[0; 4]); // ack
+    let flags = if p.kind == PacketKind::FlowStart {
+        0x02 // SYN
+    } else {
+        0x10 // ACK
+    };
+    w.extend_from_slice(&[0x50, flags]); // data offset, flags
+    w.extend_from_slice(&0xffffu16.to_be_bytes()); // window
+    w.extend_from_slice(&[0; 4]); // checksum, urgent
+    Some(w)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scotch_net::{FlowId, FlowKey, IpAddr};
+    use proptest::prelude::*;
+    use scotch_net::{FlowId, FlowKey, IpAddr, LabelStack, Protocol};
+
+    /// A big-endian cursor over a frame.
+    struct Reader<'a>(&'a [u8]);
+
+    impl Reader<'_> {
+        fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+            let head = self.0.get(..N)?.try_into().ok();
+            self.0 = &self.0[N..];
+            head
+        }
+        fn u8(&mut self) -> Option<u8> {
+            self.take::<1>().map(|b| b[0])
+        }
+        fn u16(&mut self) -> Option<u16> {
+            self.take().map(u16::from_be_bytes)
+        }
+        fn u32(&mut self) -> Option<u32> {
+            self.take().map(u32::from_be_bytes)
+        }
+    }
+
+    fn mpls_to_label(v: u32) -> Label {
+        if v & MPLS_TUNNEL_BIT != 0 {
+            Label::Tunnel(TunnelId(v & (MPLS_TUNNEL_BIT - 1)))
+        } else {
+            Label::IngressPort((v & 0xffff) as u16)
+        }
+    }
+
+    /// Reference decoder for [`encode_packet`]'s frames, or `None` for a
+    /// malformed one. `flow_id`, `born_at` and `is_attack` come back as
+    /// defaults; `size` is restored from `wire_size` (the original on-wire
+    /// length, possibly larger than the header bytes).
+    fn decode_packet(buf: &[u8], wire_size: u32) -> Option<Packet> {
+        let mut r = Reader(buf);
+        r.take::<12>()?; // MACs
+        let mut ethertype = r.u16()?;
+        let mut labels_top_first = Vec::new();
+        if ethertype == ETH_TYPE_MPLS {
+            loop {
+                let shim = r.u32()?;
+                labels_top_first.push(mpls_to_label(shim >> 12));
+                if shim & (1 << 8) != 0 {
+                    break;
+                }
+            }
+            ethertype = ETH_TYPE_IPV4;
+        }
+        if ethertype != ETH_TYPE_IPV4 || r.u8()? != 0x45 {
+            return None;
+        }
+        r.take::<8>()?; // tos, total length, identification, fragment, ttl
+        let proto = match r.u8()? {
+            6 => Protocol::Tcp,
+            17 => Protocol::Udp,
+            1 => Protocol::Icmp,
+            _ => return None,
+        };
+        r.take::<2>()?; // checksum
+        let key = FlowKey {
+            src: IpAddr(r.u32()?),
+            dst: IpAddr(r.u32()?),
+            proto,
+            sport: r.u16()?,
+            dport: r.u16()?,
+        };
+        let seq = r.u32()?;
+        r.take::<5>()?; // ack, data offset
+        let kind = if r.u8()? & 0x02 != 0 {
+            PacketKind::FlowStart
+        } else {
+            PacketKind::Data
+        };
+        let mut p = Packet {
+            key,
+            flow_id: FlowId(0),
+            kind,
+            size: wire_size,
+            born_at: SimTime::ZERO,
+            seq,
+            labels: LabelStack::new(),
+            is_attack: false,
+        };
+        // Stack stores bottom-first.
+        for l in labels_top_first.into_iter().rev() {
+            p.labels.push(l);
+        }
+        Some(p)
+    }
 
     fn pkt(sport: u16) -> Packet {
         Packet::flow_start(
@@ -136,8 +293,36 @@ mod tests {
         let rec = &cap.bytes()[24..];
         let incl = u32::from_le_bytes(rec[8..12].try_into().unwrap()) as usize;
         let data = &rec[16..16 + incl];
-        let back = scotch_openflow::wire::decode_packet(data, p.size).unwrap();
+        let back = decode_packet(data, p.size).unwrap();
         assert_eq!(back.key, p.key);
+    }
+
+    #[test]
+    fn label_mapping_is_bijective_in_range() {
+        for l in [
+            Label::Tunnel(TunnelId(0)),
+            Label::Tunnel(TunnelId(524_287)),
+            Label::IngressPort(0),
+            Label::IngressPort(65_535),
+        ] {
+            assert_eq!(mpls_to_label(label_to_mpls(l).unwrap()), l);
+        }
+        assert!(label_to_mpls(Label::Tunnel(TunnelId(1 << 19))).is_none());
+    }
+
+    #[test]
+    fn packet_bytes_roundtrip_with_label_stack() {
+        let key = FlowKey::tcp(IpAddr::new(10, 0, 0, 1), 1234, IpAddr::new(10, 0, 1, 2), 80);
+        let mut p = Packet::flow_start(key, FlowId(3), SimTime::ZERO).with_size(500);
+        p.push_label(Label::IngressPort(2));
+        p.push_label(Label::Tunnel(TunnelId(9)));
+        let bytes = encode_packet(&p).unwrap();
+        let back = decode_packet(&bytes, p.size).unwrap();
+        assert_eq!(back.key, p.key);
+        assert_eq!(back.labels, p.labels);
+        // 500 B payload + two 4 B label shims.
+        assert_eq!(back.size, 508);
+        assert_eq!(back.kind, PacketKind::FlowStart);
     }
 
     #[test]
@@ -148,5 +333,33 @@ mod tests {
         }
         assert_eq!(cap.records(), 10);
         assert!(cap.bytes().len() > 24 + 10 * 16);
+    }
+
+    proptest! {
+        /// Arbitrary packets survive the bytes roundtrip (protocol-visible
+        /// fields).
+        #[test]
+        fn prop_packet_roundtrip(
+            src: u32, dst: u32, sport: u16, dport: u16,
+            seq in 0u32..1_000_000,
+            size in 64u32..9000,
+            // The inline stack holds at most 2 labels (§5.2).
+            n_labels in 0usize..3,
+        ) {
+            let k = FlowKey::tcp(IpAddr(src), sport, IpAddr(dst), dport);
+            let mut p = Packet::data(k, FlowId(1), SimTime::ZERO, seq, size);
+            for i in 0..n_labels {
+                p.push_label(if i % 2 == 0 {
+                    Label::IngressPort(i as u16)
+                } else {
+                    Label::Tunnel(TunnelId(i as u32 * 100))
+                });
+            }
+            let bytes = encode_packet(&p).unwrap();
+            let back = decode_packet(&bytes, p.size).unwrap();
+            prop_assert_eq!(back.key, p.key);
+            prop_assert_eq!(back.labels, p.labels);
+            prop_assert_eq!(back.seq, seq);
+        }
     }
 }

@@ -88,7 +88,7 @@ impl FlowOutcome {
 ///
 /// Under a spoofed flood every packet is a new flow and almost none of
 /// them deliver, so an entry is stored in two parts: a 48-byte
-/// [`FlowRecord`] for every flow, and a 32-byte [`FlowDelivery`] appended
+/// `FlowRecord` for every flow, and a 32-byte `FlowDelivery` appended
 /// only when the flow delivers its first packet. Reading the ledger
 /// assembles each entry into a [`FlowOutcome`] by value.
 #[derive(Debug, Clone, Default)]
@@ -400,16 +400,6 @@ impl Report {
         failed as f64 / window.len() as f64
     }
 
-    /// Fraction of attack flows that reached the victim.
-    pub fn attack_success_fraction(&self) -> f64 {
-        let total = self.attack_flows();
-        if total == 0 {
-            return 0.0;
-        }
-        let ok = self.flows_where(true).filter(|f| f.succeeded()).count();
-        ok as f64 / total as f64
-    }
-
     /// Mean flow completion time of completed legitimate flows, seconds.
     pub fn mean_client_fct(&self) -> Option<f64> {
         let fcts: Vec<f64> = self
@@ -436,17 +426,6 @@ impl Report {
         } else {
             Some(ls.iter().sum::<f64>() / ls.len() as f64)
         }
-    }
-
-    /// Aggregate Packet-In messages emitted by all mesh/host vSwitch
-    /// agents (the E13 capacity metric).
-    pub fn vswitch_packet_ins(&self) -> u64 {
-        self.vswitches.iter().map(|v| v.ofa.packet_in_sent).sum()
-    }
-
-    /// Aggregate Packet-In messages emitted by physical-switch OFAs.
-    pub fn physical_packet_ins(&self) -> u64 {
-        self.switches.iter().map(|s| s.ofa.packet_in_sent).sum()
     }
 
     /// Render the full report as canonical JSON: a fixed field order, map

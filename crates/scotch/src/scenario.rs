@@ -183,14 +183,6 @@ impl Scenario {
         s
     }
 
-    /// The same data-center topology with the plain reactive controller
-    /// (the "without Scotch" arm).
-    pub fn baseline_datacenter() -> Self {
-        let mut s = Scenario::overlay_datacenter(0);
-        s.mode = ControllerMode::Baseline;
-        s
-    }
-
     /// Builder: spoofed-source attack at `rate` flows/s for the whole run.
     pub fn with_attack(mut self, rate: f64) -> Self {
         self.attack = Some(AttackSpec {

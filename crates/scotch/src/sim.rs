@@ -637,11 +637,6 @@ impl Simulation {
         self.captures.entry_or_default(node);
     }
 
-    /// Delivery `(time, end-to-end latency)` samples of a tracked flow.
-    pub fn tracked_deliveries(&self, id: scotch_net::FlowId) -> &[(SimTime, SimDuration)] {
-        self.tracked.get(&id).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
     /// Schedule a vSwitch failure (§5.6 fault injection).
     pub fn fail_vswitch_at(&mut self, node: NodeId, at: SimTime) {
         self.events.push(at, Event::FailVSwitch { node });
@@ -1595,7 +1590,7 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if any registered host (or workload default host) has no
-    /// uplink port (see [`Simulation::start`]).
+    /// uplink port (see `Simulation::start`).
     pub fn run(mut self, until: SimTime) -> Report {
         self.start();
         let mut processed = 0u64;

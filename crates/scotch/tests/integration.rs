@@ -489,6 +489,53 @@ fn pcap_capture_records_delivered_traffic() {
         u32::from_le_bytes(cap.bytes()[0..4].try_into().unwrap()),
         PCAP_MAGIC
     );
+    // Pin the capture bytes: the frame encoder must not drift.
+    assert_eq!(
+        fnv1a(cap.bytes()),
+        0x49c2_c890_4921_fbc9,
+        "server0 capture bytes changed"
+    );
+
+    // A mesh vSwitch under a flood sees the overlay's MPLS-labelled
+    // tunnel frames; pin those bytes too.
+    let mut sim = Scenario::overlay_datacenter(2)
+        .with_clients(100.0)
+        .with_attack(2_000.0)
+        .build(55);
+    let vswitch = sim.app.overlay.mesh[0];
+    sim.capture_at(vswitch);
+    let report = sim.run(SimTime::from_secs(3));
+    let cap = &report.captures[&vswitch];
+    let mpls_frames = pcap_frames(cap.bytes())
+        .filter(|f| f[12..14] == 0x8847u16.to_be_bytes())
+        .count();
+    assert!(mpls_frames > 100, "{mpls_frames} MPLS frames");
+    assert_eq!(
+        fnv1a(cap.bytes()),
+        0x59f9_5aa9_3319_55d7,
+        "mesh vSwitch capture bytes changed"
+    );
+}
+
+/// FNV-1a over a byte string (the hash the report uses for captures).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// The captured frames of a libpcap byte stream, in record order.
+fn pcap_frames(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = &bytes[24..];
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let incl = u32::from_le_bytes(rest[8..12].try_into().unwrap()) as usize;
+        let frame = &rest[16..16 + incl];
+        rest = &rest[16 + incl..];
+        Some(frame)
+    })
 }
 
 #[test]

@@ -17,16 +17,12 @@
 //! `scotch-cli bench hotpath`. Its output is observability-only and must
 //! never feed a golden report (DESIGN.md §10).
 
-use crate::metrics::{Counter, Histogram, RateMeter, TimeSeries};
-use crate::time::{SimDuration, SimTime};
+use crate::metrics::{Counter, Histogram, TimeSeries};
+use crate::time::SimTime;
 
 /// Handle to a registered [`Counter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
-
-/// Handle to a registered [`RateMeter`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RateId(usize);
 
 /// Handle to a registered [`Histogram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +41,6 @@ pub struct SeriesId(usize);
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: Vec<(String, Counter)>,
-    rates: Vec<(String, RateMeter)>,
     histograms: Vec<(String, Histogram)>,
     series: Vec<(String, TimeSeries)>,
 }
@@ -69,15 +64,6 @@ impl MetricsRegistry {
         CounterId(self.counters.len() - 1)
     }
 
-    /// Register (or look up) a rate meter by name.
-    pub fn rate_meter(&mut self, name: &str, window: SimDuration) -> RateId {
-        if let Some(i) = Self::find(&self.rates, name) {
-            return RateId(i);
-        }
-        self.rates.push((name.to_string(), RateMeter::new(window)));
-        RateId(self.rates.len() - 1)
-    }
-
     /// Register (or look up) a histogram by name.
     pub fn histogram(&mut self, name: &str) -> HistogramId {
         if let Some(i) = Self::find(&self.histograms, name) {
@@ -99,11 +85,6 @@ impl MetricsRegistry {
     /// The counter behind a handle.
     pub fn counter_mut(&mut self, id: CounterId) -> &mut Counter {
         &mut self.counters[id.0].1
-    }
-
-    /// The rate meter behind a handle.
-    pub fn rate_mut(&mut self, id: RateId) -> &mut RateMeter {
-        &mut self.rates[id.0].1
     }
 
     /// The histogram behind a handle.
@@ -131,17 +112,14 @@ impl MetricsRegistry {
 
     /// Flatten every instrument into a sorted, deterministic snapshot.
     ///
-    /// Counters export their value; rate meters their lifetime total;
-    /// histograms expand to `.count` / `.mean` / `.p50` / `.p99` / `.max`;
-    /// series to `.samples` / `.mean` / `.last`. Entries are sorted by name
-    /// so the snapshot is byte-stable regardless of registration order.
+    /// Counters export their value; histograms expand to `.count` /
+    /// `.mean` / `.p50` / `.p99` / `.max`; series to `.samples` / `.mean` /
+    /// `.last`. Entries are sorted by name so the snapshot is byte-stable
+    /// regardless of registration order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut entries: Vec<(String, f64)> = Vec::new();
         for (name, c) in &self.counters {
             entries.push((name.clone(), c.get() as f64));
-        }
-        for (name, r) in &self.rates {
-            entries.push((format!("{name}.total"), r.total() as f64));
         }
         for (name, h) in &self.histograms {
             entries.push((format!("{name}.count"), h.count() as f64));
@@ -161,11 +139,6 @@ impl MetricsRegistry {
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot { entries }
-    }
-
-    /// The registered time series, for full-resolution export.
-    pub fn all_series(&self) -> &[(String, TimeSeries)] {
-        &self.series
     }
 }
 

@@ -616,12 +616,6 @@ impl TraceRecorder {
             out
         }
     }
-
-    /// Consume the recorder, returning `(records, total_recorded)`.
-    pub fn into_records(self) -> (Vec<TraceRecord>, u64) {
-        let total = self.next_seq;
-        (self.records(), total)
-    }
 }
 
 #[cfg(test)]

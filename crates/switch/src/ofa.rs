@@ -39,7 +39,8 @@ pub struct OfaStats {
 }
 
 impl OfaStats {
-    /// Register these counters into a [`MetricsRegistry`] under
+    /// Register these counters into a
+    /// [`MetricsRegistry`](scotch_sim::MetricsRegistry) under
     /// `<prefix>.<field>` — the unified export surface for reports and
     /// sweep manifests (the struct itself stays the hot-path increment
     /// site).

@@ -35,7 +35,8 @@ pub struct SwitchStats {
 }
 
 impl SwitchStats {
-    /// Register these counters into a [`MetricsRegistry`] under
+    /// Register these counters into a
+    /// [`MetricsRegistry`](scotch_sim::MetricsRegistry) under
     /// `<prefix>.<field>` (see [`crate::ofa::OfaStats::register_metrics`]).
     pub fn register_metrics(&self, prefix: &str, reg: &mut scotch_sim::MetricsRegistry) {
         reg.add(&format!("{prefix}.forwarded"), self.forwarded);
