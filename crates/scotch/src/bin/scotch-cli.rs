@@ -244,6 +244,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let pkts: u32 = next(&mut i)?
                     .parse()
                     .map_err(|e| format!("elephants: {e}"))?;
+                if pkts == 0 {
+                    return Err("--elephants PKTS must be at least 1, got 0".into());
+                }
                 o.elephants = Some((n, pps, pkts));
             }
             "--link-loss" => o.link_loss = parse_probability("--link-loss", &next(&mut i)?)?,
@@ -2198,6 +2201,7 @@ mod tests {
             "--clients nan",
             "--rack-clients -2",
             "--elephants 2 0 100",
+            "--elephants 2 100 0",
             "--link-loss 2",
             "--link-loss -1",
             "--link-loss nan",

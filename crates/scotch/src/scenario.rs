@@ -242,7 +242,12 @@ impl Scenario {
     /// Builder: inject `count` elephant flows of `packets` packets at
     /// `pps` each, starting at `start` (client → server 0, tracked in the
     /// report).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packets` is 0: a flow's first packet is its start.
     pub fn with_elephants(mut self, count: usize, pps: f64, packets: u32, start: SimTime) -> Self {
+        assert!(packets >= 1, "an elephant flow needs at least 1 packet");
         self.elephants = Some(ElephantSpec {
             count,
             pps,
@@ -1088,6 +1093,12 @@ mod tests {
     #[should_panic(expected = "two racks")]
     fn multirack_requires_two_racks() {
         let _ = Scenario::multirack(1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1 packet")]
+    fn elephants_need_a_packet() {
+        let _ = Scenario::overlay_datacenter(2).with_elephants(2, 100.0, 0, SimTime::ZERO);
     }
 
     #[test]

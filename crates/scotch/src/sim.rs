@@ -23,7 +23,9 @@ use scotch_sim::{
 };
 use scotch_switch::middlebox::{MbVerdict, Middlebox};
 use scotch_switch::{DropReason, Output, PhysicalSwitch, VSwitch};
-use scotch_workload::{FlowArrival, FlowSource, FlowSpec};
+use scotch_workload::{ArrivalFeed, FlowArrival, FlowSource, FlowSpec};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Discrete events.
 pub(crate) enum Event {
@@ -468,6 +470,98 @@ impl BoxPool<Vec<Command>> {
 /// heap-free variant, so the swap costs a few stores.
 const VACANT_FROM_SWITCH: SwitchToController = SwitchToController::EchoReply { nonce: 0 };
 
+/// How a run draws its workload arrivals. [`Simulation::run`] always
+/// passes `Auto`; tests force either path to compare them.
+#[derive(Clone, Copy)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) enum Draw {
+    /// On a helper thread if a core is spare, else inline.
+    Auto,
+    /// Inline, on the simulation thread.
+    Inline,
+    /// On a helper thread.
+    Prefetch,
+}
+
+/// Every simulation thread of the process, and the arrival helpers they
+/// run. A run takes a helper only while the count leaves a core spare:
+/// where the runner pool already fills every core, a helper would only
+/// steal time from another simulation.
+static SIM_THREADS: SimThreads = SimThreads::new(0);
+
+/// A count of threads busy running a simulation or drawing arrivals for
+/// one, against the cores they share.
+pub(crate) struct SimThreads {
+    /// `Relaxed` throughout: the count publishes no other data.
+    busy: AtomicUsize,
+    /// Core count; 0 for the host's.
+    cores: usize,
+}
+
+impl SimThreads {
+    /// No thread busy yet, on `cores` cores (0: the host's).
+    pub(crate) const fn new(cores: usize) -> Self {
+        SimThreads {
+            busy: AtomicUsize::new(0),
+            cores,
+        }
+    }
+
+    fn cores(&self) -> usize {
+        static HOST: OnceLock<usize> = OnceLock::new();
+        match self.cores {
+            0 => *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+            n => n,
+        }
+    }
+
+    /// Threads busy now.
+    #[cfg(test)]
+    pub(crate) fn busy(&self) -> usize {
+        self.busy.load(Ordering::Relaxed)
+    }
+
+    /// Count the calling thread busy, plus a helper if `draw` asks for
+    /// one or, for `Auto`, if a core is left for it.
+    fn claim(&self, draw: Draw) -> ThreadClaim<'_> {
+        let cores = self.cores();
+        let want = |busy: usize| match draw {
+            Draw::Auto if busy + 2 <= cores => 2,
+            Draw::Auto | Draw::Inline => 1,
+            Draw::Prefetch => 2,
+        };
+        let before = self
+            .busy
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+                Some(busy + want(busy))
+            })
+            .expect("the update always applies");
+        ThreadClaim {
+            threads: self,
+            held: want(before),
+        }
+    }
+}
+
+/// Threads a run counts busy; released on drop.
+struct ThreadClaim<'a> {
+    threads: &'a SimThreads,
+    held: usize,
+}
+
+impl ThreadClaim<'_> {
+    /// True if the run may start an arrival helper.
+    fn helper(&self) -> bool {
+        self.held == 2
+    }
+}
+
+impl Drop for ThreadClaim<'_> {
+    fn drop(&mut self) {
+        self.threads.busy.fetch_sub(self.held, Ordering::Relaxed);
+    }
+}
+
 /// The simulation.
 pub struct Simulation {
     /// The network graph (public for inspection in tests/benches).
@@ -479,7 +573,12 @@ pub struct Simulation {
     pub(crate) middleboxes: NodeMap<Middlebox>,
     pub(crate) host_ip: NodeMap<IpAddr>,
     pub(crate) ip_host: FxHashMap<IpAddr, NodeId>,
-    pub(crate) sources: Vec<(NodeId, Box<dyn FlowSource>)>,
+    /// Workload sources, drawn inline or on a helper thread (see
+    /// [`Simulation::run`]).
+    feed: ArrivalFeed,
+    /// Per source, the host that emits flows whose source address is not
+    /// a registered host.
+    source_hosts: Vec<NodeId>,
     /// The flow ledger: one entry per generated flow, in creation order,
     /// moved into [`Report::flows`] as is.
     pub(crate) flows: FlowLedger,
@@ -563,7 +662,8 @@ impl Simulation {
             middleboxes: NodeMap::new(),
             host_ip: NodeMap::new(),
             ip_host: FxHashMap::default(),
-            sources: Vec::new(),
+            feed: ArrivalFeed::new(),
+            source_hosts: Vec::new(),
             flows: FlowLedger::default(),
             flow_capacity_hint: 0,
             flow_index: FlowIndex::default(),
@@ -621,7 +721,8 @@ impl Simulation {
     /// Attach a workload source. `default_host` emits flows whose source
     /// address is not a registered host (spoofed traffic).
     pub fn add_source(&mut self, default_host: NodeId, source: Box<dyn FlowSource>) {
-        self.sources.push((default_host, source));
+        self.feed.push(source);
+        self.source_hosts.push(default_host);
     }
 
     /// Record every delivery timestamp for this flow (per-flow throughput
@@ -1478,15 +1579,14 @@ impl Simulation {
     /// Pull the next arrival from source `source_idx`, open its ledger
     /// entry and schedule its `FlowStart`.
     fn on_source_next(&mut self, source_idx: usize) {
-        let (default_host, source) = &mut self.sources[source_idx];
-        let Some(FlowArrival { at, flow }) = source.next_arrival() else {
+        let Some(FlowArrival { at, flow }) = self.feed.next(source_idx) else {
             return;
         };
         let src_host = self
             .ip_host
             .get(&flow.key.src)
             .copied()
-            .unwrap_or(*default_host);
+            .unwrap_or(self.source_hosts[source_idx]);
         let flow_idx = self.flows.start(&flow, at);
         self.flow_index.insert(flow.id, flow_idx);
         self.events.push(
@@ -1559,7 +1659,7 @@ impl Simulation {
                 host
             );
         }
-        for (default_host, _) in &self.sources {
+        for default_host in &self.source_hosts {
             assert!(
                 self.topo.port_iter(*default_host).next().is_some(),
                 "scenario error: workload default host {} ({:?}) has no uplink port",
@@ -1579,7 +1679,7 @@ impl Simulation {
         }
         self.events
             .push(SimTime::ZERO + self.sweep_interval, Event::ExpirySweep);
-        for i in 0..self.sources.len() {
+        for i in 0..self.source_hosts.len() {
             self.events
                 .push(SimTime::ZERO, Event::SourceNext { source_idx: i });
         }
@@ -1587,15 +1687,39 @@ impl Simulation {
 
     /// Run until `until`, returning the report.
     ///
+    /// The workload's arrivals are drawn on a helper thread when the
+    /// process has a core that no simulation thread is using, and inline
+    /// otherwise; the report is the same either way (DESIGN.md §9,
+    /// "Arrival prefetch").
+    ///
     /// # Panics
     ///
     /// Panics if any registered host (or workload default host) has no
-    /// uplink port (see `Simulation::start`).
-    pub fn run(mut self, until: SimTime) -> Report {
-        self.start();
+    /// uplink port (see `Simulation::start`), or with a workload source's
+    /// panic.
+    pub fn run(self, until: SimTime) -> Report {
+        self.run_drawing(until, &SIM_THREADS, Draw::Auto)
+    }
+
+    /// [`run`](Self::run), counting its threads in `threads` and drawing
+    /// arrivals as `draw` says.
+    pub(crate) fn run_drawing(self, until: SimTime, threads: &SimThreads, draw: Draw) -> Report {
+        let draw = if self.feed.is_empty() {
+            Draw::Inline
+        } else {
+            draw
+        };
+        // Bound before `sim`, so released after it: after the helper is
+        // joined, also when a panic unwinds the run.
+        let claim = threads.claim(draw);
+        let mut sim = self;
+        if claim.helper() {
+            sim.feed.prefetch();
+        }
+        sim.start();
         let mut processed = 0u64;
         let mut overflow_event: Option<Event> = None;
-        while let Some((now, ev)) = self.events.pop() {
+        while let Some((now, ev)) = sim.events.pop() {
             if now > until {
                 // Keep the one popped-but-unprocessed event so the chaos
                 // in-flight accounting below stays exact.
@@ -1603,20 +1727,22 @@ impl Simulation {
                 break;
             }
             processed += ev.model_events();
-            self.process_event(now, ev);
+            sim.process_event(now, ev);
         }
+        // Stop the helper, if any: no arrival is read past the horizon.
+        sim.feed = ArrivalFeed::new();
 
-        if self.chaos_seed.is_some() {
+        if sim.chaos_seed.is_some() {
             // Tally everything still queued past the horizon so the chaos
             // conservation invariants reconcile exactly (messages in flight
             // are neither delivered nor lost — they are accounted).
             if let Some(ev) = overflow_event.take() {
-                self.chaos.tally_in_flight(&ev);
+                sim.chaos.tally_in_flight(&ev);
             }
-            self.tally_remaining();
+            sim.tally_remaining();
         }
 
-        self.into_report(until, processed)
+        sim.into_report(until, processed)
     }
 
     /// Drain the queue into the chaos in-flight tally (end-of-run
@@ -2194,6 +2320,9 @@ impl Simulation {
         }
     }
 }
+
+#[cfg(test)]
+mod prefetch_tests;
 
 #[cfg(test)]
 mod tests {

@@ -18,12 +18,17 @@
 //!
 //! All generators implement [`FlowSource`]: a pull-based iterator of
 //! [`FlowArrival`]s, so the composition root can lazily interleave any
-//! number of sources in one deterministic event stream.
+//! number of sources in one deterministic event stream. The sources are
+//! open loop, so [`feed::ArrivalFeed`] can draw them ahead of the
+//! simulation on a helper thread.
 
 pub mod clients;
 pub mod ddos;
+pub mod feed;
 pub mod flash;
 pub mod trace;
+
+pub use feed::ArrivalFeed;
 
 use scotch_net::{FlowId, FlowKey};
 use scotch_sim::{SimDuration, SimTime};
@@ -68,7 +73,11 @@ pub struct FlowArrival {
 }
 
 /// A pull-based stream of flow arrivals with non-decreasing timestamps.
-pub trait FlowSource {
+///
+/// Sources are open loop: the stream depends only on the source's own
+/// state, never on the simulation. `Send` lets [`ArrivalFeed`] draw it on
+/// a helper thread.
+pub trait FlowSource: Send {
     /// The next arrival, or `None` when the source is exhausted.
     fn next_arrival(&mut self) -> Option<FlowArrival>;
 }
